@@ -3,7 +3,8 @@
 For a target exponent and margin eps the construction needs the filtered
 block alphabet to carry enough dimension; short blocks are refused with the
 achieved value. This script shows the refusals and then the first lengths
-where the stage dimensions enter the (f_bar - eps, f_bar] sandwich.
+where the stage dimensions enter the (f_bar - eps, f_bar] sandwich, and
+ends with an accepted length just below a refused one.
 """
 
 from multifractal import (
@@ -43,8 +44,12 @@ def main():
             if attempt(alpha, n):
                 break
         print()
-    print("the refusal threshold shrinks like log(n)/n, so the exponents")
-    print("far from the peak need the longest blocks.")
+    print("the alphabet's shortfall from f_bar is bounded by a multiple of")
+    print("log(n)/n, so exponents far from the peak need the longest blocks;")
+    print("that bound is no threshold, and acceptance is not monotone in n.")
+    print("alpha = 0.9 just below the refused ladder length 128:")
+    for n in (127, 128):
+        attempt(0.9, n)
 
 
 if __name__ == "__main__":

@@ -4,10 +4,10 @@ Every measure query returns an enclosure, never a point estimate. The
 recursion over the cylinder tree decides a cylinder as soon as its hull is
 contained in the closed ball or meets it in at most a point; undecided
 cylinders below the size tolerance contribute to the upper bound only. Hull
-endpoints are tracked in exact rational arithmetic (floats convert exactly),
-so the containment tests stay sound at any depth. Points carry no mass
-(max p_i < 1 forbids atoms), which justifies dropping touching-only hulls
-and makes the enclosure sound for systems with touching intervals.
+endpoints are tracked exactly, as integers over a power of two (every float
+is n * 2^-e), so the containment tests stay sound at any depth. Points carry
+no mass (max p_i < 1 forbids atoms), which justifies dropping touching-only
+hulls and makes the enclosure sound for systems with touching intervals.
 
 Scan estimators combine enclosure ends conservatively: every reported
 dimension quantity is a certified lower bound at the scanned scales.
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -69,6 +68,25 @@ class WitnessPair:
         }
 
 
+def _require_finite(**values: float) -> None:
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise DomainError(f"{name}={v} is not finite")
+
+
+def _finite_scales(scales) -> list[float]:
+    rs = [float(s) for s in scales]
+    if not all(map(math.isfinite, rs)):
+        raise DomainError("scales must be finite")
+    return rs
+
+
+def _dyadic(v: float) -> tuple[int, int]:
+    """(n, e) with v == n / 2^e exactly; every finite float has this form."""
+    n, d = float(v).as_integer_ratio()
+    return n, d.bit_length() - 1
+
+
 def _affine_of_word(sys_: WeightedSystem, word: Word) -> tuple[float, float]:
     # composition of x -> r_i x + t_i over the word, as (scale, offset)
     scale, offset = 1.0, 0.0
@@ -96,44 +114,59 @@ def ball_measure(sys_: WeightedSystem, x: float, r: float,
     below tol (or the depth cap is hit) count toward the upper bound only.
     """
     _require_geometry(sys_)
+    _require_finite(x=x, r=r, tol=tol)
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x={x} outside [0, 1]")
     if r <= 0.0:
         raise DomainError("radius must be positive")
     if tol <= 0.0:
         raise DomainError("tol must be positive")
-    # cylinder endpoints in exact rationals; float accumulation misclassifies
-    # boundary cylinders once depth exceeds the 53-bit mantissa
-    lo_b = Fraction(x) - Fraction(r)
-    hi_b = Fraction(x) + Fraction(r)
-    trans = [Fraction(t) for t in sys_.translations]
-    ratios = [Fraction(c) for c in sys_.ratios]
-    probs = sys_.probs
-    m = sys_.m
+    # Exact arithmetic on integers: with every r_i, t_i a multiple of 2^-k
+    # and x, r, tol multiples of 2^-b, a depth-d hull is (n, s) / 2^(b+k*d).
+    # Float accumulation would misclassify boundary cylinders once depth
+    # exceeds the 53-bit mantissa.
+    x_n, x_e = _dyadic(x)
+    r_n, r_e = _dyadic(r)
+    tol_n, tol_e = _dyadic(tol)
+    b = max(x_e, r_e, tol_e)
+    x_n <<= b - x_e
+    r_n <<= b - r_e
+    los, his, tols = [x_n - r_n], [x_n + r_n], [tol_n << (b - tol_e)]
+    maps = [_dyadic(v) for v in (*sys_.ratios, *sys_.translations)]
+    k = max(e for _, e in maps)
+    ints = [n << (k - e) for n, e in maps]
+    children = list(zip(ints[sys_.m:], ints[:sys_.m], sys_.probs))
+    cap = math.inf if depth_cap is None else depth_cap
     lower = 0.0
     straddle = 0.0
     depth_used = 0
     nodes = 0
-    stack = [(Fraction(0), Fraction(1), 1.0, 0)]
+    stack = [(0, 1 << b, 1.0, 0)]
     while stack:
         t, size, mass, depth = stack.pop()
         nodes += 1
         if nodes > NODE_BUDGET:
             raise BudgetError(f"ball query exceeded {NODE_BUDGET} nodes")
-        if depth > depth_used:
+        if depth > depth_used:  # first node this deep: rescale the ball ends
             depth_used = depth
-        if t >= lo_b and t + size <= hi_b:
+            los.append(los[-1] << k)
+            his.append(his[-1] << k)
+            tols.append(tols[-1] << k)
+        lo_b, hi_b = los[depth], his[depth]
+        end = t + size
+        if t >= lo_b and end <= hi_b:
             lower += mass
             continue
         # touching at a single point carries no mass (no atoms: all p_i < 1)
-        if t >= hi_b or t + size <= lo_b:
+        if t >= hi_b or end <= lo_b:
             continue
-        if size < tol or (depth_cap is not None and depth >= depth_cap):
+        if size < tols[depth] or depth >= cap:
             straddle += mass
             continue
-        for i in range(m):
-            stack.append((t + size * trans[i], size * ratios[i],
-                          mass * probs[i], depth + 1))
+        t <<= k
+        depth += 1
+        for t_i, r_i, p_i in children:
+            stack.append((t + size * t_i, size * r_i, mass * p_i, depth))
     return MeasureBounds(lower, lower + straddle, depth_used, straddle)
 
 
@@ -165,9 +198,10 @@ def doubling_scan(sys_: WeightedSystem, x: float, gamma: float, scales,
     the supremum of the doubling ratio over the scanned scales.
     """
     _require_geometry(sys_)
+    _require_finite(gamma=gamma)
     if gamma <= 1.0:
         raise DomainError("gamma must exceed 1")
-    rs = [float(s) for s in scales]
+    rs = _finite_scales(scales)
     if not rs:
         raise DomainError("empty scale grid")
     if min(rs) <= 0.0 or max(rs) > 1.0:
@@ -197,7 +231,7 @@ def assouad_scan(sys_: WeightedSystem, x: float, scales,
     upper bound at a point.
     """
     _require_geometry(sys_)
-    rs = sorted({float(s) for s in scales}, reverse=True)
+    rs = sorted(set(_finite_scales(scales)), reverse=True)
     if len(rs) < 2:
         raise DomainError("need at least two scales")
     if rs[-1] <= 0.0 or rs[0] > 1.0:

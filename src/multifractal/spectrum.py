@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import BracketError, ConsistencyError, DomainError
-from .system import WeightedSystem, alpha_bounds
+from .system import WeightedSystem, alpha_bounds, xlogx
 
 Q_CAP = 200.0
 DEFAULT_TOL = 1e-12
@@ -141,7 +140,7 @@ def q_of_alpha(sys_: WeightedSystem, alpha: float, tol: float = 1e-10) -> float:
 def _entropy_quotient(sys_: WeightedSystem, q: float) -> float:
     """Explicit spectrum value sum w log w / sum w log r at parameter q."""
     w = tilted_vector(sys_, q)
-    return float(xlogy(w, w).sum() / (w @ sys_.log_ratios))
+    return float(xlogx(w).sum() / (w @ sys_.log_ratios))
 
 
 def _f_both(sys_: WeightedSystem, alpha: float) -> tuple[float, float, float, bool]:

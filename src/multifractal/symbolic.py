@@ -21,7 +21,6 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
 
 from .errors import (
     BudgetError,
@@ -34,7 +33,14 @@ from .errors import (
     SizeCapError,
     WindowRangeError,
 )
-from .system import WeightedSystem, Word, alpha_bounds, word_log_arrays
+from .system import (
+    WeightedSystem,
+    Word,
+    alpha_bounds,
+    logsumexp,
+    word_log_arrays,
+    xlogx,
+)
 
 ENUMERATION_CAP = 10_000_000
 TYPE_CAP = 5_000_000
@@ -107,7 +113,7 @@ def entropy_functionals(sys_: WeightedSystem, freqs) -> EntropyFunctionals:
     q = _freq_array(freqs)
     if q.size != sys_.m:
         raise DomainError(f"expected {sys_.m} frequencies, got {q.size}")
-    h = float(-xlogy(q, q).sum())
+    h = float(-xlogx(q).sum())
     hp = float(-(q @ sys_.log_probs))
     lam = float(-(q @ sys_.log_ratios))
     return EntropyFunctionals(h, hp, lam)
@@ -157,8 +163,7 @@ def type_class_log_count(n: int, freqs) -> TypeClassCount:
             raise DenominatorError("frequencies do not sum to one at this n")
     m = len(counts)
     count = _multinomial(n, counts)
-    h = float(-xlogy(np.array(counts, dtype=float) / n,
-                     np.array(counts, dtype=float) / n).sum())
+    h = float(-xlogx(np.array(counts, dtype=float) / n).sum())
     upper = n * h
     lower = n * h - (m + 1) * math.log(n + 1)
     return TypeClassCount(count, math.log(count), lower, upper)
@@ -370,7 +375,7 @@ def subshift_dimension(gamma: BlockAlphabet, tol: float = 1e-12) -> float:
     log_rs = np.array([row.log_r for row in gamma.rows])
 
     def g(s: float) -> float:
-        return float(logsumexp(log_counts + s * log_rs))
+        return logsumexp(log_counts + s * log_rs)
 
     lo, hi = 0.0, 1.0
     if g(lo) <= 0.0:
@@ -496,7 +501,7 @@ def moran_construct(sys_: WeightedSystem, alpha: float, eps: float, n: int,
     spine_log_r = np.cumsum(lr)
     log_counts = np.array([math.log(row.count) for row in gamma.rows])
     log_rs = np.array([row.log_r for row in gamma.rows])
-    gain = float(logsumexp(log_counts + s * log_rs))  # > 0 by the guard above
+    gain = logsumexp(log_counts + s * log_rs)  # > 0 by the guard above
     ms = []
     for k in range(1, stages + 1):
         penalty = s * float(spine_log_r[k * n - 1])
@@ -523,7 +528,7 @@ def moran_dimension(spec: MoranSpec, k: int, tol: float = 1e-12) -> float:
                             for j in range(1, k + 1)))
 
     def log_product(t: float) -> float:
-        return m_total * float(logsumexp(log_counts + t * log_rs)) \
+        return m_total * logsumexp(log_counts + t * log_rs) \
             + t * spine_total
 
     if log_product(0.0) <= 0.0:

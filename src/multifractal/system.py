@@ -280,6 +280,26 @@ def word_log_arrays(sys_: WeightedSystem, word: Word):
     return sys_.log_probs[idx], sys_.log_ratios[idx]
 
 
+def xlogx(x) -> np.ndarray:
+    """Elementwise x * log(x), with 0 at x = 0."""
+    x = np.asarray(x, dtype=float)
+    return x * np.log(np.where(x > 0.0, x, 1.0))
+
+
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) for a finite nonempty array, without overflow.
+
+    The maximal terms are split off and the rest is summed through log1p
+    (Blanchard, Higham and Higham, IMA J. Numer. Anal. 41, 2021).
+    """
+    a = np.asarray(a, dtype=float)
+    top = a.max()
+    at_top = a == top
+    count = int(at_top.sum())
+    rest = np.exp(np.where(at_top, -np.inf, a - top)).sum() / count
+    return float(np.log1p(rest) + math.log(count) + top)
+
+
 def word_stats(sys_: WeightedSystem, word: Word) -> WordStats:
     """Mass p_a, size r_a and exponent log p_a / log r_a of a word."""
     if len(word) == 0:

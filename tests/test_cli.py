@@ -2,8 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import multifractal
 
 from multifractal import UsageError, dump_system
 from multifractal.cli import main, parse_config, parse_linear_grid, parse_scale_grid
@@ -110,6 +116,17 @@ class TestExitCodes:
                                         "-x", "0.0", "--scales", "0.5,0.4"])
         assert code == 1
         assert err.startswith("DomainError:")
+
+    @pytest.mark.parametrize("argv", [
+        ["ball", "-x", "0.5", "-r", "nan"],
+        ["ball", "-x", "0.5", "-r", "0.25", "--tol", "nan"],
+        ["doubling-scan", "-x", "0.3", "--gamma", "inf"],
+    ])
+    def test_non_finite_input_is_one(self, capsys, s1_path, argv):
+        code, out, err = run_cli(capsys, argv + ["-s", s1_path])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("DomainError:") and "Traceback" not in err
 
     def test_success_is_zero(self, capsys, s1_path):
         code, out, err = run_cli(capsys, ["ball", "-s", s1_path,
@@ -261,3 +278,13 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert out_path.read_text().startswith("x,r,lower")
+
+
+def test_import_leaves_scipy_unloaded():
+    """numpy is the only runtime dependency; scipy would cost start-up."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(multifractal.__file__).resolve().parents[1])
+    probe = "import sys, multifractal; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

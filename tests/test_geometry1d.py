@@ -2,11 +2,15 @@
 
 The canonical two-map system keeps every cylinder endpoint dyadic, so small
 balls around dyadic points have exactly computable measures; those are the
-primary oracles here. The uniform system doubles as a Lebesgue oracle.
+primary oracles here. The uniform system doubles as a Lebesgue oracle, and a
+walk on Fraction endpoints is the reference the integer engine must match
+bit for bit.
 """
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from multifractal import (
@@ -28,6 +32,63 @@ from multifractal import (
 )
 
 A_MAX = 1.5849625007211563
+
+
+def fraction_ball_measure(sys_, x, r, tol=1e-12, depth_cap=None):
+    """The cylinder walk on exact rationals, as the engine once ran it.
+
+    Returns (lower, upper, depth_used, straddle_mass). Same push order and
+    float mass products as ball_measure, so the results must be identical.
+    """
+    lo_b = Fraction(x) - Fraction(r)
+    hi_b = Fraction(x) + Fraction(r)
+    trans = [Fraction(t) for t in sys_.translations]
+    ratios = [Fraction(c) for c in sys_.ratios]
+    probs = sys_.probs
+    m = sys_.m
+    lower = 0.0
+    straddle = 0.0
+    depth_used = 0
+    stack = [(Fraction(0), Fraction(1), 1.0, 0)]
+    while stack:
+        t, size, mass, depth = stack.pop()
+        if depth > depth_used:
+            depth_used = depth
+        if t >= lo_b and t + size <= hi_b:
+            lower += mass
+            continue
+        if t >= hi_b or t + size <= lo_b:
+            continue
+        if size < tol or (depth_cap is not None and depth >= depth_cap):
+            straddle += mass
+            continue
+        for i in range(m):
+            stack.append((t + size * trans[i], size * ratios[i],
+                          mass * probs[i], depth + 1))
+    return lower, lower + straddle, depth_used, straddle
+
+
+def seeded_queries(rng, sys_, count):
+    """(x, r, tol, depth_cap) mixing dyadic, attractor and uniform points."""
+    queries = []
+    for i in range(count):
+        kind = i % 3
+        if kind == 0:  # dyadic centre and radius: boundaries hit exactly
+            a = int(rng.integers(1, 9))
+            x = int(rng.integers(0, 2 ** a + 1)) / 2 ** a
+            r = 2.0 ** -int(rng.integers(1, 25))
+        elif kind == 1:  # a point of the attractor
+            length = int(rng.integers(1, 12))
+            word = Word(rng.integers(1, sys_.m + 1, size=length))
+            x = fixed_point(sys_, word)
+            r = float(10 ** rng.uniform(-6, math.log10(0.5)))
+        else:
+            x = float(rng.uniform())
+            r = float(10 ** rng.uniform(-6, math.log10(0.5)))
+        tol = 10.0 ** -int(rng.integers(6, 13))
+        depth_cap = None if i % 4 else int(rng.integers(0, 12))
+        queries.append((x, r, tol, depth_cap))
+    return queries
 
 
 class TestCylinderInterval:
@@ -116,6 +177,54 @@ class TestBallMeasure:
         with pytest.raises(DomainError):
             ball_measure(s1, 0.5, 0.1, tol=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arguments(self, s1, bad):
+        with pytest.raises(DomainError):
+            ball_measure(s1, bad, 0.1)
+        with pytest.raises(DomainError):
+            ball_measure(s1, 0.5, bad)
+        with pytest.raises(DomainError):
+            ball_measure(s1, 0.5, 0.1, tol=bad)
+
+
+class TestBitIdentity:
+    """The integer engine reproduces the Fraction walk exactly."""
+
+    @staticmethod
+    def assert_identical(sys_, queries):
+        for x, r, tol, depth_cap in queries:
+            mb = ball_measure(sys_, x, r, tol, depth_cap)
+            got = (mb.lower, mb.upper, mb.depth_used, mb.straddle_mass)
+            assert got == fraction_ball_measure(sys_, x, r, tol, depth_cap), \
+                (x, r, tol, depth_cap)
+
+    def test_s1(self, s1):
+        rng = np.random.default_rng(1)
+        self.assert_identical(s1, seeded_queries(rng, s1, 150))
+
+    def test_uniform(self, uniform2):
+        rng = np.random.default_rng(2)
+        self.assert_identical(uniform2, seeded_queries(rng, uniform2, 150))
+
+    def test_random_gapped_systems(self, random_system):
+        rng = np.random.default_rng(3)
+        for _ in range(6):
+            sys_ = random_system(rng)
+            self.assert_identical(sys_, seeded_queries(rng, sys_, 40))
+
+    def test_tiny_tol_and_depth_caps(self, s1, random_system):
+        gapped = random_system(np.random.default_rng(4))
+        x = fixed_point(gapped, Word.from_string("12"))
+        # 2^-20 is exactly the size of a depth-20 S1 cylinder
+        queries = [(1.0 / 3.0, 0.1, 2.0 ** -20, None),
+                   (1.0 / 3.0, 0.1, 1e-15, None), (1.0 / 3.0, 0.1, 1e-300, 70),
+                   (0.3, 0.01, 5e-324, 40), (0.5, 0.25, 1e-9, 0),
+                   (0.5, 0.25, 1e-9, 1), (0.7, 0.2, 1e-12, 5)]
+        self.assert_identical(s1, queries)
+        tol_caps = [(1e-15, None), (1e-300, 30), (1e-6, 2)]
+        self.assert_identical(
+            gapped, [(x, 1e-3, tol, cap) for tol, cap in tol_caps])
+
 
 class TestDoublingScan:
     def test_uniform_interior_ratio_is_gamma(self, uniform2):
@@ -146,6 +255,17 @@ class TestDoublingScan:
         with pytest.raises(DomainError):
             doubling_scan(s1, 0.3, 2.0, [1.5])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_arguments(self, s1, bad):
+        with pytest.raises(DomainError):
+            doubling_scan(s1, 0.3, bad, [0.1])
+        with pytest.raises(DomainError):
+            doubling_scan(s1, 0.3, 2.0, [0.1, bad])
+        with pytest.raises(DomainError):
+            doubling_scan(s1, 0.3, 2.0, [bad, 0.1])
+        with pytest.raises(DomainError):
+            doubling_scan(s1, bad, 2.0, [0.1])
+
 
 class TestAssouadScan:
     def test_left_edge_exact_exponent(self, s1):
@@ -167,6 +287,13 @@ class TestAssouadScan:
             assouad_scan(s1, 0.0, [0.5, 0.4])
         with pytest.raises(DomainError):
             assouad_scan(s1, 0.0, [2.0, 0.5])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_scales(self, s1, bad):
+        with pytest.raises(DomainError):
+            assouad_scan(s1, 0.0, [0.5, 0.125, bad])
+        with pytest.raises(DomainError):
+            assouad_scan(s1, 0.0, [bad, 0.5, 0.125])
 
     def test_no_pair_clears_min_ratio(self, s1):
         with pytest.raises(DomainError):

@@ -19,6 +19,7 @@ from multifractal import (
     validate_system,
     word_stats,
 )
+from multifractal.system import logsumexp, xlogx
 
 
 class TestValidation:
@@ -195,3 +196,22 @@ class TestAlphaBounds:
         assert uniform2.degenerate
         lo, hi = alpha_bounds(uniform2)
         assert lo == hi == pytest.approx(1.0)
+
+
+class TestArrayHelpers:
+    def test_xlogx_is_zero_at_zero(self):
+        x = np.array([0.0, 0.25, 0.75, 1.0])
+        out = xlogx(x)
+        assert out[0] == 0.0 and out[3] == 0.0
+        assert out[1] == 0.25 * math.log(0.25)
+        assert out[2] == 0.75 * math.log(0.75)
+
+    def test_logsumexp_matches_direct_sum(self):
+        a = np.array([-1.0, 0.5, 0.5, -3.0])
+        direct = math.log(math.fsum(math.exp(v) for v in a))
+        assert logsumexp(a) == pytest.approx(direct, rel=1e-15)
+
+    def test_logsumexp_does_not_overflow(self):
+        assert logsumexp([1000.0, 1000.0]) == \
+            pytest.approx(1000.0 + math.log(2.0), rel=1e-15)
+        assert logsumexp([-1000.0]) == -1000.0
