@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 computational error (reported as "ErrorName: cause"
-on stderr), 2 usage error. Output is byte-stable for a fixed config and
-seed. MFA_THREADS caps internal parallelism where a command fans out.
+on stderr), 2 usage error. Output is byte-stable for a fixed config.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ class RunConfig:
     params: argparse.Namespace
     output: str | None
     format: str
-    seed: int
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,7 +88,6 @@ def _build_parser() -> _Parser:
     common.add_argument("-o", "--output", default=None,
                         help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default=None)
-    common.add_argument("--seed", type=int, default=0)
 
     parser = _Parser(prog="multifractal",
                      description="multifractal spectra, symbolic estimators, "
@@ -100,7 +97,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("spectrum", parents=[common],
                        help="tabulate q, tau, alpha, f, f_bar over a q grid")
     p.add_argument("--q-grid", default="-10:10:201", help="lo:hi:count")
-    p.add_argument("--tol", type=float, default=1e-12)
 
     p = sub.add_parser("assouad-word", parents=[common],
                        help="sliding-window Assouad estimate along a word")
@@ -168,8 +164,6 @@ def _check_domains(ns: argparse.Namespace) -> None:
         raise UsageError(msg)
 
     if cmd == "spectrum":
-        if ns.tol <= 0:
-            bad("tol must be positive")
         parse_linear_grid(ns.q_grid)
     elif cmd == "assouad-word":
         if not ns.word:
@@ -248,12 +242,12 @@ def parse_config(argv) -> RunConfig:
     elif fmt is None:
         fmt = "csv"
     _check_domains(ns)
-    return RunConfig(ns.command, ns.system, ns, ns.output, fmt, ns.seed)
+    return RunConfig(ns.command, ns.system, ns, ns.output, fmt)
 
 
 def _run_spectrum(sys_, config):
     qs = parse_linear_grid(config.params.q_grid)
-    table = spectrum_table(sys_, qs, tol=config.params.tol)
+    table = spectrum_table(sys_, qs)
     emit_table(table.as_records(), config.format, config.output,
                header=["q", "tau", "alpha", "f", "f_bar"])
 

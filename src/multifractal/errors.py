@@ -30,7 +30,7 @@ class EmptyWordError(MultifractalError):
 
 
 class BracketError(MultifractalError):
-    """Root bracketing failed to enclose a sign change."""
+    """A root search failed to bracket a sign change or to converge."""
 
 
 class DomainError(MultifractalError):

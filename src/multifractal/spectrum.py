@@ -1,11 +1,12 @@
 """L^q spectrum, local dimension range, and Legendre multifractal spectrum.
 
-tau(q) is the unique root of sum_i p_i^q r_i^tau = 1. The associated tilted
-weight vector w_i = p_i^q r_i^tau(q) drives alpha(q) (cross-entropy over
-Lyapunov exponent) and the spectrum f(alpha), computed both as the Legendre
-value alpha*q + tau(q) and via the explicit entropy quotient; the two routes
-must agree. The upper envelope f_bar flattens f at the value tau(0) to the
-right of alpha(0).
+tau(q) is the unique root of sum_i p_i^q r_i^tau = 1, found to float
+resolution by monotone Newton steps from below (system.lse_root); q must be
+finite. The associated tilted weight vector w_i = p_i^q r_i^tau(q) drives
+alpha(q) (cross-entropy over Lyapunov exponent) and the spectrum f(alpha),
+computed both as the Legendre value alpha*q + tau(q) and via the explicit
+entropy quotient; the two routes must agree. The upper envelope f_bar
+flattens f at the value tau(0) to the right of alpha(0).
 
 Degenerate systems (constant log p_i / log r_i) collapse to a single-point
 spectrum; operations return that point instead of erroring.
@@ -14,78 +15,38 @@ spectrum; operations return that point instead of erroring.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import BracketError, ConsistencyError, DomainError
-from .system import WeightedSystem, alpha_bounds, xlogx
+from .system import WeightedSystem, alpha_bounds, lse_root, xlogx
 
 Q_CAP = 200.0
-DEFAULT_TOL = 1e-12
 _MAX_DOUBLINGS = 1000
 # interior agreement between the two f(alpha) routes; spec-pinned
 F_CONSISTENCY_TOL = 1e-8
 F_ENDPOINT_TOL = 1e-3
 
 
-@lru_cache(maxsize=1024)
-def _log_pairs(sys_: WeightedSystem) -> tuple[tuple[float, float], ...]:
-    return tuple(zip(sys_.log_probs.tolist(), sys_.log_ratios.tolist()))
+def solve_tau(sys_: WeightedSystem, q: float) -> float:
+    """Root tau(q) of sum p_i^q r_i^tau = 1, by Newton from below.
 
-
-def _cap_residual(sys_: WeightedSystem, q: float, t: float) -> float:
-    """log of sum_i p_i^q r_i^t; strictly decreasing in t."""
-    # plain math: this sits inside nested bisections, array overhead dominates
-    terms = [q * lp + t * lr for lp, lr in _log_pairs(sys_)]
-    mx = max(terms)
-    return mx + math.log(sum(math.exp(v - mx) for v in terms))
-
-
-def solve_tau(sys_: WeightedSystem, q: float, tol: float = DEFAULT_TOL) -> float:
-    """Root tau(q) of sum p_i^q r_i^tau = 1, by bracket doubling + bisection.
-
-    The residual |sum p_i^q r_i^tau - 1| at the returned point is at most tol.
+    At t0 = min_i(-q log p_i / log r_i) every term p_i^q r_i^t0 is at least
+    1, so the log of the sum is positive there and lse_root can start.
+    A NaN or infinite q, or one so large that the terms overflow, raises
+    DomainError.
     """
-    lo, hi = -1.0, 1.0
-    g_lo, g_hi = _cap_residual(sys_, q, lo), _cap_residual(sys_, q, hi)
-    n = 0
-    while g_lo < 0.0:
-        hi, g_hi = lo, g_lo
-        lo *= 2.0
-        g_lo = _cap_residual(sys_, q, lo)
-        n += 1
-        if n > _MAX_DOUBLINGS:
-            raise BracketError(f"no sign change after {n} doublings (q={q})")
-    while g_hi > 0.0:
-        lo, g_lo = hi, g_hi
-        hi *= 2.0
-        g_hi = _cap_residual(sys_, q, hi)
-        n += 1
-        if n > _MAX_DOUBLINGS:
-            raise BracketError(f"no sign change after {n} doublings (q={q})")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return mid  # interval exhausted at float resolution
-        g = _cap_residual(sys_, q, mid)
-        if abs(math.expm1(g)) <= tol:
-            return mid
-        if g > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    if not math.isfinite(q):
+        raise DomainError(f"q={q} is not finite")
+    a = q * sys_.log_probs
+    return lse_root(a, sys_.log_ratios, (-a / sys_.log_ratios).min())
 
 
 def tilted_vector(sys_: WeightedSystem, q: float) -> np.ndarray:
     """Normalized weights w_i proportional to p_i^q r_i^tau(q)."""
-    tau = solve_tau(sys_, q)
-    xs = [q * lp + tau * lr for lp, lr in _log_pairs(sys_)]
-    mx = max(xs)
-    w = np.array([math.exp(v - mx) for v in xs])
+    x = q * sys_.log_probs + solve_tau(sys_, q) * sys_.log_ratios
+    w = np.exp(x - x.max())
     return w / w.sum()
 
 
@@ -240,37 +201,17 @@ class SpectrumTable:
                  "f_bar": r.f_bar} for r in self.rows]
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("MFA_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def spectrum_table(sys_: WeightedSystem, q_values,
-                   tol: float = DEFAULT_TOL) -> SpectrumTable:
-    """Rows (q, tau, alpha, f, f_bar) for each requested q, in order.
-
-    Row evaluation may fan out over MFA_THREADS workers; output order and
-    content do not depend on the worker count.
-    """
+def spectrum_table(sys_: WeightedSystem, q_values) -> SpectrumTable:
+    """Rows (q, tau, alpha, f, f_bar) for each requested q, in order."""
     qs = [float(q) for q in q_values]
-    tau0 = solve_tau(sys_, 0.0, tol) if qs else 0.0
+    tau0 = solve_tau(sys_, 0.0) if qs else 0.0
     alpha0 = alpha_of_q(sys_, 0.0) if qs else 0.0
-
-    def build(q: float) -> SpectrumRow:
-        tau = solve_tau(sys_, q, tol)
+    rows = []
+    for q in qs:
+        tau = solve_tau(sys_, q)
         alpha = alpha_of_q(sys_, q)
         f = alpha * q + tau
         fb = tau0 if alpha > alpha0 else f
-        return SpectrumRow(q, tau, alpha, f, fb)
-
-    workers = _max_workers()
-    if workers > 1 and len(qs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(build, qs))
-    else:
-        rows = tuple(build(q) for q in qs)
-    meta = {"system": sys_.digest(), "points": len(rows), "tol": tol}
-    return SpectrumTable(rows, meta)
+        rows.append(SpectrumRow(q, tau, alpha, f, fb))
+    meta = {"system": sys_.digest(), "points": len(rows)}
+    return SpectrumTable(tuple(rows), meta)

@@ -38,6 +38,7 @@ from .system import (
     Word,
     alpha_bounds,
     logsumexp,
+    lse_root,
     word_log_arrays,
     xlogx,
 )
@@ -316,6 +317,12 @@ class BlockAlphabet:
                 yield Word(free + tail)
 
 
+def _log_terms(gamma: BlockAlphabet) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row log block count and log ratio of a block alphabet."""
+    return (np.array([math.log(row.count) for row in gamma.rows]),
+            np.array([row.log_r for row in gamma.rows]))
+
+
 def _kappa_counts(kappa: Word | None, m: int) -> tuple[int, ...]:
     if kappa is None or len(kappa) == 0:
         return (0,) * m
@@ -367,34 +374,12 @@ def gamma_n_alpha(sys_: WeightedSystem, n: int, alpha: float,
     return block_alphabet(sys_, n, alpha=alpha, kappa=kappa)
 
 
-def subshift_dimension(gamma: BlockAlphabet, tol: float = 1e-12) -> float:
+def subshift_dimension(gamma: BlockAlphabet) -> float:
     """Similarity dimension s solving sum over blocks of r_a^s = 1."""
     if not gamma.rows:
         raise EmptyAlphabetError("cannot size an empty alphabet")
-    log_counts = np.array([math.log(row.count) for row in gamma.rows])
-    log_rs = np.array([row.log_r for row in gamma.rows])
-
-    def g(s: float) -> float:
-        return logsumexp(log_counts + s * log_rs)
-
-    lo, hi = 0.0, 1.0
-    if g(lo) <= 0.0:
-        return 0.0  # single block, or numerically empty mass
-    while g(hi) > 0.0:
-        lo, hi = hi, hi * 2.0
-        if hi > 1e6:
-            raise DomainError("subshift dimension did not bracket")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return mid  # interval exhausted at float resolution
-        val = g(mid)
-        if abs(np.expm1(val)) <= tol:
-            return mid
-        if val > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    log_counts, log_rs = _log_terms(gamma)
+    return lse_root(log_counts, log_rs, 0.0)
 
 
 def greedy_word(source, alpha: float, length: int) -> Word:
@@ -499,8 +484,7 @@ def moran_construct(sys_: WeightedSystem, alpha: float, eps: float, n: int,
     spine = greedy_word(block_alphabet(sys_, n, None), alpha, stages * n)
     lp, lr = word_log_arrays(sys_, spine)
     spine_log_r = np.cumsum(lr)
-    log_counts = np.array([math.log(row.count) for row in gamma.rows])
-    log_rs = np.array([row.log_r for row in gamma.rows])
+    log_counts, log_rs = _log_terms(gamma)
     gain = logsumexp(log_counts + s * log_rs)  # > 0 by the guard above
     ms = []
     for k in range(1, stages + 1):
@@ -515,40 +499,21 @@ def moran_construct(sys_: WeightedSystem, alpha: float, eps: float, n: int,
     return MoranSpec(sys_, n, alpha, eps, s, gamma, spine, tuple(ms), growth)
 
 
-def moran_dimension(spec: MoranSpec, k: int, tol: float = 1e-12) -> float:
-    """Dimension of the k-th stage covering, by bisection on the log product."""
+def moran_dimension(spec: MoranSpec, k: int) -> float:
+    """Dimension of the k-th stage covering: the root of its log product.
+
+    The product is m_total * logsumexp(log #a + t log r_a) + t * spine_total,
+    which lse_root takes divided by m_total.
+    """
     if not (1 <= k <= len(spec.stage_lengths)):
         raise DomainError(f"stage {k} outside 1..{len(spec.stage_lengths)}")
-    log_counts = np.array([math.log(row.count) for row in spec.blocks.rows])
-    log_rs = np.array([row.log_r for row in spec.blocks.rows])
+    log_counts, log_rs = _log_terms(spec.blocks)
     _, lr = word_log_arrays(spec.system, spec.spine)
     spine_log_r = np.cumsum(lr)
     m_total = sum(spec.stage_lengths[:k])
     spine_total = float(sum(spine_log_r[j * spec.n - 1]
                             for j in range(1, k + 1)))
-
-    def log_product(t: float) -> float:
-        return m_total * logsumexp(log_counts + t * log_rs) \
-            + t * spine_total
-
-    if log_product(0.0) <= 0.0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while log_product(hi) > 0.0:
-        lo, hi = hi, hi * 2.0
-        if hi > 1e6:
-            raise DomainError("stage dimension did not bracket")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return mid  # interval exhausted at float resolution
-        val = log_product(mid)
-        if abs(val) <= tol:
-            return mid
-        if val > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    return lse_root(log_counts, log_rs, 0.0, spine_total / m_total)
 
 
 @dataclass(frozen=True)

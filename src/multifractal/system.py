@@ -22,6 +22,8 @@ import numpy as np
 
 from .errors import (
     ArityError,
+    BracketError,
+    DomainError,
     EmptyWordError,
     FormatError,
     OverlapError,
@@ -32,6 +34,8 @@ from .errors import (
 WEIGHT_SUM_TOL = 1e-12
 # slack for interval comparisons; exact binary fractions stay exact
 GEOM_TOL = 1e-12
+# lse_root has never been seen to need more than 8 steps
+NEWTON_CAP = 100
 
 
 @dataclass(frozen=True)
@@ -298,6 +302,30 @@ def logsumexp(a) -> float:
     count = int(at_top.sum())
     rest = np.exp(np.where(at_top, -np.inf, a - top)).sum() / count
     return float(np.log1p(rest) + math.log(count) + top)
+
+
+def lse_root(a, b, t0: float, c: float = 0.0) -> float:
+    """Root of g(t) = logsumexp(a + t*b) + c*t, by Newton steps from t0.
+
+    Needs every b_i < 0, c <= 0 and g(t0) >= 0. Then g is convex and
+    decreasing, so Newton rises monotonically from t0 to the root without a
+    bracket, and the first step that does not move t forward ends the search.
+    A NaN or an overflow on the way raises DomainError.
+    """
+    t = float(t0)
+    for _ in range(NEWTON_CAP):
+        x = a + t * b
+        top = float(x.max())
+        w = np.exp(x - top)
+        total = float(w.sum())
+        g = top + math.log(total) + c * t
+        nxt = t - g / (float(w @ b) / total + c)
+        if not math.isfinite(nxt):
+            raise DomainError(f"Newton from {t0} left the float range")
+        if not nxt > t:
+            return t
+        t = nxt
+    raise BracketError(f"Newton from {t0} did not settle in {NEWTON_CAP} steps")
 
 
 def word_stats(sys_: WeightedSystem, word: Word) -> WordStats:

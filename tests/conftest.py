@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multifractal import WeightedSystem
+from multifractal import WeightedSystem, load_system
 
 
 @pytest.fixture
@@ -30,6 +30,15 @@ def make_random_system(rng: np.random.Generator) -> WeightedSystem:
     t = np.concatenate([[0.0], np.cumsum(r[:-1] + gaps[:-1])])
     return WeightedSystem(probs=tuple(p), ratios=tuple(r),
                           translations=tuple(t))
+
+
+def make_equal_ratio_system(rng: np.random.Generator) -> WeightedSystem:
+    """Random m in 2..4 maps sharing one ratio, weights clipped away from 0."""
+    m = int(rng.integers(2, 5))
+    r = float(rng.uniform(0.05, 0.98 / m))
+    probs = np.clip(rng.dirichlet(np.full(m, 2.0)), 0.02, None)
+    probs = probs / probs.sum()
+    return load_system({"probs": probs.tolist(), "ratios": [r] * m})
 
 
 @pytest.fixture

@@ -44,7 +44,7 @@ from multifractal import (
 )
 from multifractal.spectrum import _f_both
 
-from conftest import make_random_system
+from conftest import make_equal_ratio_system, make_random_system
 
 S1 = load_system({"probs": [1.0 / 3.0, 2.0 / 3.0], "ratios": [0.5, 0.5],
                   "translations": [0.0, 0.5]})
@@ -92,12 +92,8 @@ def test_criterion_01_spectrum_identities(report):
     eq_rng = np.random.default_rng(1)
     worst_tau0 = 0.0
     for _ in range(100):
-        m = int(eq_rng.integers(2, 5))
-        r = float(eq_rng.uniform(0.05, 0.98 / m))
-        probs = np.clip(eq_rng.dirichlet(np.full(m, 2.0)), 0.02, None)
-        probs = probs / probs.sum()
-        sys_ = load_system({"probs": probs.tolist(), "ratios": [r] * m})
-        closed = math.log(m) / math.log(1.0 / r)
+        sys_ = make_equal_ratio_system(eq_rng)
+        closed = math.log(sys_.m) / math.log(1.0 / sys_.ratios[0])
         worst_tau0 = max(worst_tau0, abs(solve_tau(sys_, 0.0) - closed))
     ok = worst_tau1 <= 1e-10 and worst_tau0 <= 1e-10 and worst_convex >= -1e-9
     report(1, ok, f"|tau(1)| <= {worst_tau1:.1e}, closed-form dev {worst_tau0:.1e}, "

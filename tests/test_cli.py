@@ -65,7 +65,6 @@ class TestParseConfig:
         assert cfg.command == "spectrum"
         assert parse_linear_grid(cfg.params.q_grid).size == 64
         assert cfg.format == "csv"
-        assert cfg.seed == 0
 
     def test_ball_example(self, s1_path):
         cfg = parse_config(["ball", "-s", s1_path, "-x", "0.5", "-r", "0.25",
@@ -121,6 +120,7 @@ class TestExitCodes:
         ["ball", "-x", "0.5", "-r", "nan"],
         ["ball", "-x", "0.5", "-r", "0.25", "--tol", "nan"],
         ["doubling-scan", "-x", "0.3", "--gamma", "inf"],
+        ["spectrum", "--q-grid", "nan:1:3"],
     ])
     def test_non_finite_input_is_one(self, capsys, s1_path, argv):
         code, out, err = run_cli(capsys, argv + ["-s", s1_path])
@@ -146,6 +146,13 @@ class TestSpectrumCommand:
         assert abs(rows[1.0][1]) <= 1e-10
         assert rows[0.0][1] == pytest.approx(1.0, abs=1e-10)
         assert rows[2.0][1] == pytest.approx(math.log2(5.0 / 9.0), abs=1e-10)
+
+    def test_huge_q_gives_finite_row(self, capsys, s1_path):
+        code, out, err = run_cli(capsys, ["spectrum", "-s", s1_path,
+                                          "--q-grid", "1e6:1e6:1"])
+        assert code == 0 and err == ""
+        row = [float(v) for v in out.splitlines()[1].split(",")]
+        assert all(math.isfinite(v) for v in row)
 
     def test_json_format_key_order(self, capsys, s1_path):
         code, out, _ = run_cli(capsys, ["spectrum", "-s", s1_path,
@@ -281,10 +288,14 @@ class TestOutputFile:
 
 
 def test_import_leaves_scipy_unloaded():
-    """numpy is the only runtime dependency; scipy would cost start-up."""
+    """numpy is the only runtime dependency; scipy would cost start-up.
+
+    Nothing fans out over threads either, so concurrent.futures stays out.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(multifractal.__file__).resolve().parents[1])
-    probe = "import sys, multifractal; print('scipy' in sys.modules)"
+    probe = ("import sys, multifractal; print([m in sys.modules "
+             "for m in ('scipy', 'concurrent.futures')])")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[False, False]"

@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from multifractal import (
 )
 from multifractal.spectrum import _f_both
 
-from conftest import make_random_system
+from conftest import make_equal_ratio_system, make_random_system
 
 LN2, LN3 = math.log(2), math.log(3)
 A_MIN = math.log(1.5) / LN2
@@ -49,6 +48,40 @@ class TestSolveTau:
 
     def test_tau0_is_similarity_dimension(self, s1):
         assert solve_tau(s1, 0.0) == pytest.approx(1.0, abs=1e-10)
+
+    def test_tau0_exact_on_s1(self, s1):
+        assert solve_tau(s1, 0.0) == 1.0
+
+    def test_tau0_equal_ratio_closed_form(self):
+        # the 100 equal-ratio systems of acceptance criterion 01
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            s = make_equal_ratio_system(rng)
+            closed = math.log(s.m) / math.log(1.0 / s.ratios[0])
+            assert abs(solve_tau(s, 0.0) - closed) <= 1e-14
+
+    def test_residual_at_float_resolution(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            s = make_random_system(rng)
+            for q in np.linspace(-15.0, 15.0, 61):
+                tau = solve_tau(s, q)
+                total = math.fsum(p ** q * r ** tau
+                                  for p, r in zip(s.probs, s.ratios))
+                assert abs(total - 1.0) <= 1e-13, (s, q)
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf,
+                                   1.7e308, -1.7e308])
+    def test_non_finite_or_overflowing_q_rejected(self, s1, q):
+        with pytest.raises(DomainError), np.errstate(all="ignore"):
+            solve_tau(s1, q)
+
+    def test_huge_q_closed_form(self, s1):
+        # one term dominates: tau = q log2(2/3) for q -> +inf, q log2 3 for -inf
+        assert solve_tau(s1, 1e6) == pytest.approx(1e6 * math.log2(2 / 3),
+                                                   rel=1e-12)
+        assert solve_tau(s1, -1e6) == pytest.approx(1e6 * math.log2(3),
+                                                    rel=1e-12)
 
     def test_tau2_closed_form(self, s1):
         # sum p_i^2 = 5/9, both ratios 1/2
@@ -228,13 +261,6 @@ class TestSpectrumTable:
             assert row.f == pytest.approx(row.alpha * row.q + row.tau,
                                           abs=1e-12)
             assert row.f_bar >= row.f - 1e-12
-
-    def test_thread_count_does_not_change_rows(self, s1, monkeypatch):
-        qs = np.linspace(-3, 3, 13)
-        base = spectrum_table(s1, qs)
-        monkeypatch.setenv("MFA_THREADS", "4")
-        fanned = spectrum_table(s1, qs)
-        assert base.as_records() == fanned.as_records()
 
     def test_meta_reports_digest(self, s1):
         table = spectrum_table(s1, [0.0])

@@ -304,6 +304,10 @@ class TestSubshiftDimension:
         s = subshift_dimension(gamma_n_alpha(s1, 2, 1.1))
         assert s == pytest.approx(math.log(3.0) / math.log(4.0), abs=1e-9)
 
+    def test_three_block_at_float_resolution(self, s1):
+        s = subshift_dimension(gamma_n_alpha(s1, 2, 1.1))
+        assert abs(s - math.log(3.0) / math.log(4.0)) <= 1e-15
+
     def test_singleton_alphabet(self, s1):
         assert subshift_dimension(gamma_n_alpha(s1, 3, A_MIN)) == 0.0
 
