@@ -33,6 +33,8 @@ from .system import Word, load_system, word_stats
 from .tables import emit_object, emit_table
 
 _JSON_ONLY = {"moran", "witness"}
+# largest grid count, word or spine length taken from argv, before allocation
+MAX_COUNT = 10 ** 7
 
 
 @dataclass
@@ -57,8 +59,8 @@ def parse_linear_grid(spec: str) -> np.ndarray:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise UsageError(f"bad grid {spec!r}: {exc}") from exc
-    if count < 0:
-        raise UsageError("grid count must be nonnegative")
+    if not 0 <= count <= MAX_COUNT:
+        raise UsageError(f"grid count must lie in [0, {MAX_COUNT}]")
     return np.linspace(lo, hi, count)
 
 
@@ -74,6 +76,8 @@ def parse_scale_grid(spec: str) -> np.ndarray:
         k0, k1 = int(match.group(2)), int(match.group(3))
         if base <= 1.0 or k1 < k0:
             raise UsageError(f"bad scale grid {spec!r}")
+        if k1 - k0 >= MAX_COUNT:
+            raise UsageError(f"scale grid {spec!r} exceeds {MAX_COUNT} scales")
         return base ** -np.arange(k0, k1 + 1, dtype=float)
     try:
         return np.array([float(tok) for tok in spec.split(",") if tok.strip()])
@@ -163,6 +167,8 @@ def _check_domains(ns: argparse.Namespace) -> None:
     def bad(msg):
         raise UsageError(msg)
 
+    if (getattr(ns, "length", None) or 0) > MAX_COUNT:
+        bad(f"length must not exceed {MAX_COUNT}")
     if cmd == "spectrum":
         parse_linear_grid(ns.q_grid)
     elif cmd == "assouad-word":
@@ -187,6 +193,8 @@ def _check_domains(ns: argparse.Namespace) -> None:
             bad("epsilon must be positive")
         if ns.n < 1 or ns.stages < 1:
             bad("n and stages must be positive")
+        if ns.n * ns.stages > MAX_COUNT:
+            bad(f"the spine, n * stages letters, must not exceed {MAX_COUNT}")
     elif cmd == "ball":
         if ns.r <= 0 or ns.tol <= 0:
             bad("r and tol must be positive")

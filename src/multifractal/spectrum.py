@@ -2,11 +2,12 @@
 
 tau(q) is the unique root of sum_i p_i^q r_i^tau = 1, found to float
 resolution by monotone Newton steps from below (system.lse_root); q must be
-finite. The associated tilted weight vector w_i = p_i^q r_i^tau(q) drives
-alpha(q) (cross-entropy over Lyapunov exponent) and the spectrum f(alpha),
-computed both as the Legendre value alpha*q + tau(q) and via the explicit
-entropy quotient; the two routes must agree. The upper envelope f_bar
-flattens f at the value tau(0) to the right of alpha(0).
+finite, with |q| at most the system's q_limit. The associated tilted weight
+vector w_i = p_i^q r_i^tau(q) drives alpha(q) (cross-entropy over Lyapunov
+exponent) and the spectrum f(alpha), computed both as the Legendre value
+alpha*q + tau(q) and via the explicit entropy quotient; the two routes must
+agree. The upper envelope f_bar flattens f at the value tau(0) to the right
+of alpha(0).
 
 Degenerate systems (constant log p_i / log r_i) collapse to a single-point
 spectrum; operations return that point instead of erroring.
@@ -34,20 +35,28 @@ def solve_tau(sys_: WeightedSystem, q: float) -> float:
 
     At t0 = min_i(-q log p_i / log r_i) every term p_i^q r_i^t0 is at least
     1, so the log of the sum is positive there and lse_root can start.
-    A NaN or infinite q, or one so large that the terms overflow, raises
-    DomainError.
+    A NaN or infinite q, or one beyond sys_.q_limit where the terms could
+    overflow, raises DomainError before any arithmetic on it.
     """
     if not math.isfinite(q):
         raise DomainError(f"q={q} is not finite")
+    if abs(q) > sys_.q_limit:
+        raise DomainError(f"|q|={abs(q)} exceeds {sys_.q_limit:.6g}")
     a = q * sys_.log_probs
     return lse_root(a, sys_.log_ratios, (-a / sys_.log_ratios).min())
 
 
+def _tilt(sys_: WeightedSystem, q: float) -> tuple[float, np.ndarray]:
+    """tau(q) and the normalized weights w_i proportional to p_i^q r_i^tau(q)."""
+    tau = solve_tau(sys_, q)
+    x = q * sys_.log_probs + tau * sys_.log_ratios
+    w = np.exp(x - x.max())
+    return tau, w / w.sum()
+
+
 def tilted_vector(sys_: WeightedSystem, q: float) -> np.ndarray:
     """Normalized weights w_i proportional to p_i^q r_i^tau(q)."""
-    x = q * sys_.log_probs + solve_tau(sys_, q) * sys_.log_ratios
-    w = np.exp(x - x.max())
-    return w / w.sum()
+    return _tilt(sys_, q)[1]
 
 
 def _alpha_from_weights(sys_: WeightedSystem, w: np.ndarray) -> float:
@@ -56,7 +65,7 @@ def _alpha_from_weights(sys_: WeightedSystem, w: np.ndarray) -> float:
 
 def alpha_of_q(sys_: WeightedSystem, q: float) -> float:
     """Local dimension alpha(q) carried by the tilted vector at q."""
-    return _alpha_from_weights(sys_, tilted_vector(sys_, q))
+    return _alpha_from_weights(sys_, _tilt(sys_, q)[1])
 
 
 def q_of_alpha(sys_: WeightedSystem, alpha: float, tol: float = 1e-10) -> float:
@@ -98,9 +107,8 @@ def q_of_alpha(sys_: WeightedSystem, alpha: float, tol: float = 1e-10) -> float:
             hi = mid
 
 
-def _entropy_quotient(sys_: WeightedSystem, q: float) -> float:
-    """Explicit spectrum value sum w log w / sum w log r at parameter q."""
-    w = tilted_vector(sys_, q)
+def _entropy_quotient(sys_: WeightedSystem, w: np.ndarray) -> float:
+    """Explicit spectrum value sum w log w / sum w log r of a tilted vector."""
     return float(xlogx(w).sum() / (w @ sys_.log_ratios))
 
 
@@ -122,8 +130,9 @@ def _f_both(sys_: WeightedSystem, alpha: float) -> tuple[float, float, float, bo
     else:
         # route agreement needs |q| * |alpha(q) - alpha| well under 1e-8
         q, capped = q_of_alpha(sys_, alpha, tol=1e-12), False
-    legendre = alpha * q + solve_tau(sys_, q)
-    quotient = _entropy_quotient(sys_, q)
+    tau, w = _tilt(sys_, q)
+    legendre = alpha * q + tau
+    quotient = _entropy_quotient(sys_, w)
     return legendre, quotient, q, capped
 
 
@@ -151,8 +160,9 @@ def f_bar(sys_: WeightedSystem, alpha: float) -> float:
     edge = 1e-9 * max(1.0, abs(amax))
     if alpha < amin - edge or alpha > amax + edge:
         raise DomainError(f"alpha={alpha} outside [{amin}, {amax}]")
-    if alpha > alpha_of_q(sys_, 0.0):
-        return solve_tau(sys_, 0.0)
+    tau0, w0 = _tilt(sys_, 0.0)
+    if alpha > _alpha_from_weights(sys_, w0):
+        return tau0
     return f_of_alpha(sys_, alpha)
 
 
@@ -204,12 +214,12 @@ class SpectrumTable:
 def spectrum_table(sys_: WeightedSystem, q_values) -> SpectrumTable:
     """Rows (q, tau, alpha, f, f_bar) for each requested q, in order."""
     qs = [float(q) for q in q_values]
-    tau0 = solve_tau(sys_, 0.0) if qs else 0.0
-    alpha0 = alpha_of_q(sys_, 0.0) if qs else 0.0
+    tau0, w0 = _tilt(sys_, 0.0)
+    alpha0 = _alpha_from_weights(sys_, w0)
     rows = []
     for q in qs:
-        tau = solve_tau(sys_, q)
-        alpha = alpha_of_q(sys_, q)
+        tau, w = _tilt(sys_, q)
+        alpha = _alpha_from_weights(sys_, w)
         f = alpha * q + tau
         fb = tau0 if alpha > alpha0 else f
         rows.append(SpectrumRow(q, tau, alpha, f, fb))

@@ -14,11 +14,12 @@ the limsup over window lengths.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -221,12 +222,14 @@ def assouad_estimate(sys_: WeightedSystem, word: Word,
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    """Nonnegative integer tuples of the given length and sum, lexicographic.
+
+    Stars and bars: each choice of parts - 1 bars among total + parts - 1
+    slots, taken in lexicographic order, splits the other slots into parts.
+    """
+    slots = total + parts - 1
+    for bars in itertools.combinations(range(slots), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
 
 
 def _words_of_counts(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -292,19 +295,6 @@ class BlockAlphabet:
             raise EmptyAlphabetError("alphabet has no blocks")
         return max(row.ratio for row in self.rows)
 
-    def _free_counts(self, row: TypeRow) -> list[int]:
-        kc = _kappa_counts(self.kappa, self.system.m)
-        return [c - k for c, k in zip(row.counts, kc)]
-
-    def representative(self, row: TypeRow) -> Word:
-        """Canonical member of a type class: sorted free part, then the tail."""
-        syms: list[int] = []
-        for i, c in enumerate(self._free_counts(row)):
-            syms.extend([i + 1] * c)
-        if self.kappa is not None:
-            syms.extend(self.kappa)
-        return Word(syms)
-
     def blocks(self) -> Iterator[Word]:
         """Lazily enumerate every block, grouped by type."""
         if self.block_count > ENUMERATION_CAP:
@@ -312,8 +302,10 @@ class BlockAlphabet:
                 f"{self.block_count} blocks exceed the enumeration cap "
                 f"{ENUMERATION_CAP}; use the type rows instead")
         tail = tuple(self.kappa) if self.kappa is not None else ()
+        kc = _kappa_counts(self.kappa, self.system.m)
         for row in self.rows:
-            for free in _words_of_counts(self._free_counts(row)):
+            free_counts = [c - k for c, k in zip(row.counts, kc)]
+            for free in _words_of_counts(free_counts):
                 yield Word(free + tail)
 
 
@@ -324,9 +316,7 @@ def _log_terms(gamma: BlockAlphabet) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kappa_counts(kappa: Word | None, m: int) -> tuple[int, ...]:
-    if kappa is None or len(kappa) == 0:
-        return (0,) * m
-    return tuple(type_of(kappa, m).counts)
+    return (0,) * m if kappa is None else type_of(kappa, m).counts
 
 
 def block_alphabet(sys_: WeightedSystem, n: int, alpha: float | None = None,
@@ -340,11 +330,10 @@ def block_alphabet(sys_: WeightedSystem, n: int, alpha: float | None = None,
         raise DomainError("block length must be positive")
     if isinstance(kappa, str):
         kappa = Word.from_string(kappa)
-    if kappa is not None and len(kappa) == 0:
-        kappa = None
+    kappa = kappa or None  # an empty tail is no tail
     m = sys_.m
     kc = _kappa_counts(kappa, m)
-    free = n - (len(kappa) if kappa is not None else 0)
+    free = n - sum(kc)
     if free < 0:
         raise DomainError(f"tail of length {n - free} does not fit in n={n}")
     n_types = math.comb(free + m - 1, m - 1)
@@ -382,47 +371,33 @@ def subshift_dimension(gamma: BlockAlphabet) -> float:
     return lse_root(log_counts, log_rs, 0.0)
 
 
-def greedy_word(source, alpha: float, length: int) -> Word:
+def greedy_word(sys_: WeightedSystem, alpha: float, length: int) -> Word:
     """Word whose prefix exponents chase alpha from both sides.
 
-    The word starts with the highest-exponent letter (or block); afterwards
-    each step appends the high block while the running exponent is below
-    alpha and the low block otherwise, so ties fall to the low block. An
-    alpha equal to the top exponent yields the constant high word.
+    The word starts with the highest-exponent letter; afterwards each step
+    appends that letter while the running exponent is below alpha and the
+    lowest-exponent letter otherwise, so ties fall to the low letter. Among
+    letters of equal exponent the lowest index is used. An alpha equal to
+    the top exponent yields the constant high word.
     """
-    if isinstance(source, BlockAlphabet):
-        if not source.rows:
-            raise EmptyAlphabetError("greedy word needs a nonempty alphabet")
-        hi_row = max(source.rows, key=lambda r: r.ratio)
-        lo_row = min(source.rows, key=lambda r: r.ratio)
-        hi = (source.representative(hi_row), hi_row.log_p, hi_row.log_r)
-        lo = (source.representative(lo_row), lo_row.log_p, lo_row.log_r)
-        a_lo, a_hi = lo_row.ratio, hi_row.ratio
-    else:
-        sys_: WeightedSystem = source
-        idx_hi = int(np.argmax(sys_.symbol_ratios))
-        idx_lo = int(np.argmin(sys_.symbol_ratios))
-        hi = (Word([idx_hi + 1]), float(sys_.log_probs[idx_hi]),
-              float(sys_.log_ratios[idx_hi]))
-        lo = (Word([idx_lo + 1]), float(sys_.log_probs[idx_lo]),
-              float(sys_.log_ratios[idx_lo]))
-        a_lo, a_hi = alpha_bounds(sys_)
+    a_lo, a_hi = alpha_bounds(sys_)
     if length < 1:
         raise DomainError("length must be positive")
     if not (a_lo - 1e-9 <= alpha <= a_hi + 1e-9):
         raise DomainError(f"alpha={alpha} outside [{a_lo}, {a_hi}]")
+    sr = sys_.symbol_ratios
+    hi, lo = ((int(i) + 1, float(sys_.log_probs[i]), float(sys_.log_ratios[i]))
+              for i in (np.argmax(sr), np.argmin(sr)))
     if alpha >= a_hi - 1e-12:
-        return Word.periodic(hi[0], length)
-    parts = [hi[0].symbols]
+        return Word.constant(hi[0], length)
+    symbols = [hi[0]]
     log_p, log_r = hi[1], hi[2]
-    total = len(hi[0])
-    while total < length:
+    while len(symbols) < length:
         nxt = hi if log_p / log_r < alpha else lo
-        parts.append(nxt[0].symbols)
+        symbols.append(nxt[0])
         log_p += nxt[1]
         log_r += nxt[2]
-        total += len(nxt[0])
-    return Word(np.concatenate(parts)[:length])
+    return Word(symbols)
 
 
 @dataclass(frozen=True)
@@ -458,6 +433,10 @@ def moran_construct(sys_: WeightedSystem, alpha: float, eps: float, n: int,
     Requires the filtered block alphabet at length n to carry dimension
     above f_bar(alpha) - eps/2; otherwise NeedLargerN reports what length n
     actually achieved.
+
+    The spine is the greedy word of `stages` letters, each repeated n times:
+    n cancels in the running exponent, so this is the chase over the blocks
+    hi^n and lo^n. Of letters with equal exponent the lowest index is used.
     """
     from .spectrum import f_bar  # local import avoids a module cycle
 
@@ -481,8 +460,8 @@ def moran_construct(sys_: WeightedSystem, alpha: float, eps: float, n: int,
             f"blocks of length {n} reach dimension {achieved:.6f}, "
             f"need > {required:.6f}", achieved=achieved, required=required)
     s = fb - eps
-    spine = greedy_word(block_alphabet(sys_, n, None), alpha, stages * n)
-    lp, lr = word_log_arrays(sys_, spine)
+    spine = Word(np.repeat(greedy_word(sys_, alpha, stages).symbols, n))
+    _, lr = word_log_arrays(sys_, spine)
     spine_log_r = np.cumsum(lr)
     log_counts, log_rs = _log_terms(gamma)
     gain = logsumexp(log_counts + s * log_rs)  # > 0 by the guard above
@@ -535,25 +514,16 @@ def abundance_report(sys_: WeightedSystem, n: int, delta: float,
     that every interior lattice point with spacing ~delta/2 has a realized
     type within l-inf distance delta/2, certifying delta-density.
     """
-    if isinstance(kappa, str):
-        kappa = Word.from_string(kappa)
-    if kappa is not None and len(kappa) == 0:
-        kappa = None
     if delta <= 0.0 or delta > 1.0:
         raise DomainError("delta must lie in (0, 1]")
+    gamma = block_alphabet(sys_, n, None, kappa)
     m = sys_.m
-    kc = _kappa_counts(kappa, m)
+    kc = _kappa_counts(gamma.kappa, m)
     free = n - sum(kc)
     if free < 1:
         raise DomainError(f"n={n} leaves no free positions after the tail")
-    n_types = math.comb(free + m - 1, m - 1)
-    if n_types > TYPE_CAP:
-        raise SizeCapError(f"{n_types} types exceed cap {TYPE_CAP}")
-    a1 = 1.0
-    for comp in _compositions(free, m):
-        counts = [c + k for c, k in zip(comp, kc)]
-        ratio = _multinomial(free, comp) / _multinomial(n, counts)
-        a1 = min(a1, ratio)
+    a1 = min(1.0, min(row.count / _multinomial(n, row.counts)
+                      for row in gamma.rows))
     big_d = math.ceil(2 * m / delta)
     if math.comb(big_d - 1, m - 1) > TYPE_CAP:
         raise SizeCapError("delta-net is too fine for this alphabet size")
@@ -566,8 +536,7 @@ def abundance_report(sys_: WeightedSystem, n: int, delta: float,
         if dist > delta / 2.0 + 1e-12:
             a2 = False
             break
-    return AbundanceReport(n, delta, str(kappa) if kappa is not None else "",
-                           a1, a2)
+    return AbundanceReport(n, delta, str(gamma.kappa or ""), a1, a2)
 
 
 def _nearest_free_counts(q: Sequence[float], n: int, kc: Sequence[int],

@@ -101,6 +101,18 @@ class WeightedSystem:
         return self.log_probs / self.log_ratios
 
     @cached_property
+    def q_limit(self) -> float:
+        """Largest |q| at which solving for tau(q) stays in the float range.
+
+        Newton runs from min_i to past max_i of -q log p_i / log r_i, by at
+        most log m / min|log r_i|, so each number it meets is at most 2|q|k
+        plus a log m term.
+        """
+        lp, lr = np.abs(self.log_probs), np.abs(self.log_ratios)
+        k = lp.max() * (1.0 + (1.0 + lr.max()) / lr.min())
+        return float(np.finfo(float).max / (4.0 * k))
+
+    @cached_property
     def degenerate(self) -> bool:
         """True iff log p_i / log r_i is the same for every symbol."""
         sr = self.symbol_ratios

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,30 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("DomainError:") and "Traceback" not in err
+
+    def test_overflowing_q_prints_one_line(self, capsys, s1_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, ["spectrum", "-s", s1_path,
+                                              "--q-grid", "1.7e308:1.7e308:1"])
+        assert code == 1 and out == ""
+        assert err.startswith("DomainError:") and err.count("\n") == 1
+
+    # refused before anything of that size is allocated or looped over
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--q-grid", "0:1:100000000000000000000"],
+        ["assouad-word", "--word", "12", "--length", "100000000000000000000",
+         "--windows", "1:2"],
+        ["greedy", "--alpha", "1.0", "--length", "100000000000000000000"],
+        ["moran", "--alpha", "1.0", "--epsilon", "0.1", "--n", "16",
+         "--stages", "100000000000000000000"],
+        ["doubling-scan", "-x", "0.3",
+         "--scales", "2^(-k), k=1..100000000000000000000"],
+    ])
+    def test_oversized_count_is_two(self, capsys, s1_path, argv):
+        code, out, err = run_cli(capsys, argv + ["-s", s1_path])
+        assert code == 2 and out == ""
+        assert err.startswith("UsageError:") and err.count("\n") == 1
 
     def test_success_is_zero(self, capsys, s1_path):
         code, out, err = run_cli(capsys, ["ball", "-s", s1_path,

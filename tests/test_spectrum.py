@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from multifractal import (
     spectrum_table,
     tilted_vector,
 )
+from multifractal import spectrum
 from multifractal.spectrum import _f_both
 
 from conftest import make_equal_ratio_system, make_random_system
@@ -73,8 +75,17 @@ class TestSolveTau:
     @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf,
                                    1.7e308, -1.7e308])
     def test_non_finite_or_overflowing_q_rejected(self, s1, q):
-        with pytest.raises(DomainError), np.errstate(all="ignore"):
-            solve_tau(s1, q)
+        # refused before numpy could warn of an overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                solve_tau(s1, q)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_largest_accepted_q_solves_quietly(self, s1, sign):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(solve_tau(s1, sign * s1.q_limit))
 
     def test_huge_q_closed_form(self, s1):
         # one term dominates: tau = q log2(2/3) for q -> +inf, q log2 3 for -inf
@@ -104,6 +115,14 @@ class TestSolveTau:
         tau = solve_tau(s, q)
         total = sum(p ** q * r ** tau for p, r in zip(s.probs, s.ratios))
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), q=st.floats(-50, 50))
+    @settings(max_examples=200, deadline=None)
+    def test_slope_is_minus_alpha(self, seed, q):
+        s = make_random_system(np.random.default_rng(seed))
+        h = 1e-4
+        slope = (solve_tau(s, q + h) - solve_tau(s, q - h)) / (2 * h)
+        assert abs(slope + alpha_of_q(s, q)) <= 1e-7
 
     def test_convexity_on_grid(self, s1):
         qs = np.linspace(-10, 10, 101)
@@ -261,6 +280,17 @@ class TestSpectrumTable:
             assert row.f == pytest.approx(row.alpha * row.q + row.tau,
                                           abs=1e-12)
             assert row.f_bar >= row.f - 1e-12
+
+    def test_one_tau_solve_per_row(self, s1, monkeypatch):
+        calls = []
+
+        def counted(sys_, q):
+            calls.append(q)
+            return solve_tau(sys_, q)
+
+        monkeypatch.setattr(spectrum, "solve_tau", counted)
+        spectrum_table(s1, np.linspace(-5.0, 5.0, 11))
+        assert len(calls) == 12  # each row's q, plus q = 0 for f_bar
 
     def test_meta_reports_digest(self, s1):
         table = spectrum_table(s1, [0.0])

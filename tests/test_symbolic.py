@@ -38,7 +38,8 @@ from multifractal import (
     type_of,
     word_stats,
 )
-from multifractal.system import word_log_arrays
+from multifractal.symbolic import _compositions
+from multifractal.system import WeightedSystem, word_log_arrays
 
 from conftest import make_random_system
 
@@ -57,6 +58,47 @@ def f_oracle(alpha: float) -> float:
     """
     w = alpha - A_MIN
     return -(w * math.log2(w) + (1.0 - w) * math.log2(1.0 - w))
+
+
+M3 = WeightedSystem((0.2, 0.3, 0.5), (0.25, 0.3, 0.35), (0.0, 0.3, 0.65))
+M4 = WeightedSystem((0.1, 0.2, 0.3, 0.4), (0.2, 0.2, 0.25, 0.25),
+                    (0.0, 0.25, 0.5, 0.75))
+
+
+def recursive_compositions(total, parts):
+    """Compositions of total into parts, head first: the lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in recursive_compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def block_chase_spine(sys_, alpha, n, stages):
+    """Moran spine chased block by block over the whole length-n shift.
+
+    The rows of largest and smallest exponent are the constant blocks hi^n
+    and lo^n; each step appends hi^n while the running exponent, summed over
+    whole blocks, is below alpha, and lo^n otherwise.
+    """
+    rows = block_alphabet(sys_, n, None).rows
+    chase = []
+    for row in (max(rows, key=lambda r: r.ratio),
+                min(rows, key=lambda r: r.ratio)):
+        assert n in row.counts, "an extreme row must be a constant block"
+        chase.append(([row.counts.index(n) + 1] * n, row.log_p, row.log_r))
+    hi, lo = chase
+    if alpha >= max(r.ratio for r in rows) - 1e-12:
+        return Word(hi[0] * stages)
+    symbols = list(hi[0])
+    log_p, log_r = hi[1], hi[2]
+    while len(symbols) < stages * n:
+        nxt = hi if log_p / log_r < alpha else lo
+        symbols += nxt[0]
+        log_p += nxt[1]
+        log_r += nxt[2]
+    return Word(symbols)
 
 
 def brute_blocks(sys_, n, alpha=None, kappa=""):
@@ -262,12 +304,12 @@ class TestBlockAlphabet:
         b = block_alphabet(s1, 5, alpha=1.0, kappa="12")
         assert a.rows == b.rows
 
-    def test_representative_belongs_to_row(self, s1):
-        gamma = block_alphabet(s1, 6, 1.0, kappa="12")
-        for row in gamma.rows:
-            rep = gamma.representative(row)
-            assert type_of(rep, s1.m).counts == row.counts
-            assert str(rep).endswith("12")
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4, 5])
+    def test_compositions_match_recursive_walk(self, parts):
+        for total in range(30):
+            got = list(_compositions(total, parts))
+            assert got == list(recursive_compositions(total, parts))
+            assert len(got) == math.comb(total + parts - 1, parts - 1)
 
     def test_exponent_extremes(self, s1):
         gamma = block_alphabet(s1, 4, None)
@@ -382,10 +424,6 @@ class TestGreedyWord:
         with pytest.raises(DomainError):
             greedy_word(s1, 1.0, 0)
 
-    def test_block_alphabet_source(self, s1):
-        w = greedy_word(block_alphabet(s1, 2), 1.0, 8)
-        assert str(w) == "11222211"
-
     def test_convergence_bound(self, random_system):
         """Final exponent sits within the worst single-step increment bound."""
         rng = np.random.default_rng(23)
@@ -411,6 +449,38 @@ class TestMoran:
         assert len(spec.spine) == 20 * 16
         assert spec.growth_constant == pytest.approx(
             max(m / k for k, m in enumerate(spec.stage_lengths, start=1)))
+
+    @pytest.mark.parametrize("name,n", [("S1", 16), ("S1", 20), ("S1", 64),
+                                        ("M3", 12), ("M3", 24), ("M4", 8),
+                                        ("M4", 16)])
+    def test_spine_matches_block_chase(self, s1, name, n):
+        """The spine is the block-level chase, up to rounding at exact ties.
+
+        n cancels in the running exponent, so the two chases choose alike
+        unless a prefix exponent equals alpha; there each decides by its own
+        rounding (S1 at alpha = A_MIN + j/k with n not a power of two). The
+        spine does not depend on eps, which is wide here so that no length
+        is refused.
+        """
+        sys_ = {"S1": s1, "M3": M3, "M4": M4}[name]
+        a_lo, a_hi = sys_.symbol_ratios.min(), sys_.symbol_ratios.max()
+        for u in np.linspace(0.05, 0.95, 19):
+            alpha = a_lo + u * (a_hi - a_lo)
+            spine = moran_construct(sys_, alpha, 1.0, n, stages=20).spine
+            want = block_chase_spine(sys_, alpha, n, 20)
+            if spine == want:
+                continue
+            k = int(np.argmax(spine.symbols != want.symbols)) // n
+            lp, lr = word_log_arrays(sys_, spine[:k * n])
+            assert abs(lp.sum() / lr.sum() - alpha) <= 1e-12, (alpha, k)
+
+    def test_spine_ties_take_the_lowest_index(self):
+        # symbols 1 and 2 share the top exponent; the full-shift chase took 2
+        tied = WeightedSystem((0.2, 0.2, 0.6), (0.3, 0.3, 0.4))
+        spine = moran_construct(tied, 0.8, 0.2, 16, stages=10).spine
+        assert str(spine).startswith("1" * 16)
+        assert set(spine) == {1, 3}
+        assert str(block_chase_spine(tied, 0.8, 16, 10)).startswith("2" * 16)
 
     def test_stage_dimensions_exceed_target(self, s1):
         spec = moran_construct(s1, 1.2, 0.05, 16)
