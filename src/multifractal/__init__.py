@@ -40,7 +40,6 @@ from .geometry1d import (
     doubling_scan,
     fixed_point,
     non_doubling_witness,
-    osc_multiplicity,
 )
 from .spectrum import (
     SpectrumRow,
@@ -72,7 +71,6 @@ from .symbolic import (
     local_dim_prefixes,
     moran_construct,
     moran_dimension,
-    sample_word,
     subshift_dimension,
     type_class_log_count,
     type_of,

@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BudgetError, DomainError, EmptyWordError, NoGeometryError
 from .system import WeightedSystem, Word, word_stats
 
@@ -190,8 +188,7 @@ class DoublingScan:
 
 
 def doubling_scan(sys_: WeightedSystem, x: float, gamma: float, scales,
-                  rel_tol: float = 1e-9,
-                  depth_cap: int | None = None) -> DoublingScan:
+                  rel_tol: float = 1e-9) -> DoublingScan:
     """Conservative mu(B(x, gamma r)) / mu(B(x, r)) intervals over a scale grid.
 
     max_ratio_lower is the largest certified lower end, a lower bound for
@@ -210,8 +207,8 @@ def doubling_scan(sys_: WeightedSystem, x: float, gamma: float, scales,
     best = math.nan
     for r in rs:
         tol = r * rel_tol
-        small = ball_measure(sys_, x, r, tol, depth_cap)
-        big = ball_measure(sys_, x, gamma * r, tol, depth_cap)
+        small = ball_measure(sys_, x, r, tol)
+        big = ball_measure(sys_, x, gamma * r, tol)
         ratio_lo = big.lower / small.upper if small.upper > 0.0 else math.nan
         ratio_hi = big.upper / small.lower if small.lower > 0.0 else math.inf
         rows.append(DoublingRow(r, small.lower, small.upper, ratio_lo, ratio_hi))
@@ -222,8 +219,7 @@ def doubling_scan(sys_: WeightedSystem, x: float, gamma: float, scales,
 
 def assouad_scan(sys_: WeightedSystem, x: float, scales,
                  pair_budget: int = 1_000_000, min_ratio: float = 4.0,
-                 rel_tol: float = 1e-9,
-                 depth_cap: int | None = None) -> float:
+                 rel_tol: float = 1e-9) -> float:
     """Certified lower bound for the pointwise Assouad dimension at x.
 
     Maximizes log(lower(R) / upper(r)) / log(R / r) over scanned scale pairs
@@ -231,6 +227,7 @@ def assouad_scan(sys_: WeightedSystem, x: float, scales,
     upper bound at a point.
     """
     _require_geometry(sys_)
+    _require_finite(min_ratio=min_ratio)
     rs = sorted(set(_finite_scales(scales)), reverse=True)
     if len(rs) < 2:
         raise DomainError("need at least two scales")
@@ -239,7 +236,7 @@ def assouad_scan(sys_: WeightedSystem, x: float, scales,
     for big, small in zip(rs, rs[1:]):
         if big / small < 2.0 * (1.0 - 1e-12):
             raise DomainError("scale grid must be geometric with ratio >= 2")
-    bounds = [ball_measure(sys_, x, r, r * rel_tol, depth_cap) for r in rs]
+    bounds = [ball_measure(sys_, x, r, r * rel_tol) for r in rs]
     best = -math.inf
     pairs = 0
     for i_big in range(len(rs)):
@@ -283,6 +280,7 @@ def non_doubling_witness(sys_: WeightedSystem, n_target: float,
     grows geometrically. Returns the shallowest pair found, or None.
     """
     _require_geometry(sys_)
+    _require_finite(n_target=n_target)
     if depth_cap < 1:
         raise DomainError("depth_cap must be at least 1")
     order = sorted(range(sys_.m), key=lambda i: sys_.translations[i])
@@ -320,52 +318,15 @@ def non_doubling_witness(sys_: WeightedSystem, n_target: float,
             return None
         return WitnessPair(wi, wj, math.exp(log_ratio), gap)
 
-    for k in range(depth_cap):
+    # each level adds lp[j_edge] - lp[i_edge] to a seed's log ratio; with no
+    # positive step a target missed at depth 0 is missed at every depth
+    rising = any(lp[j[1] - 1] > lp[i[1] - 1] for i, j in seeds)
+    for k in range(depth_cap if rising else 1):
         for side_i, side_j in seeds:
             found = pair_at(side_i, side_j, k)
             if found is not None:
                 return found
     return None
-
-
-def osc_multiplicity(sys_: WeightedSystem, samples, scales,
-                     seed: int = 0) -> int:
-    """Observed maximum number of comparable-scale cylinders meeting a ball.
-
-    Counts words whose contraction first drops to r or below while the hull
-    still meets B(x, r); the maximum over sampled (x, r) is an empirical
-    lower bound for the bounded-multiplicity constant.
-    """
-    _require_geometry(sys_)
-    if isinstance(samples, int):
-        rng = np.random.default_rng(seed)
-        xs = rng.uniform(0.0, 1.0, size=samples)
-    else:
-        xs = [float(v) for v in samples]
-    rs = [float(s) for s in scales]
-    if any(s <= 0.0 or s >= 1.0 for s in rs):
-        raise DomainError("scales must lie in (0, 1)")
-    trans, ratios = sys_.translations, sys_.ratios
-    m = sys_.m
-    best = 0
-    for x in xs:
-        lo_b_all = x - np.asarray(rs)
-        hi_b_all = x + np.asarray(rs)
-        for r, lo_b, hi_b in zip(rs, lo_b_all, hi_b_all):
-            count = 0
-            stack = [(0.0, 1.0)]
-            while stack:
-                t, size = stack.pop()
-                if t > hi_b or t + size < lo_b:
-                    continue
-                if size <= r:
-                    count += 1
-                    continue
-                for i in range(m):
-                    stack.append((t + size * trans[i], size * ratios[i]))
-            if count > best:
-                best = count
-    return best
 
 
 def coding_of(sys_: WeightedSystem, x: float, depth: int) -> Word:

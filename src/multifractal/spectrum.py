@@ -68,7 +68,7 @@ def alpha_of_q(sys_: WeightedSystem, q: float) -> float:
     return _alpha_from_weights(sys_, _tilt(sys_, q)[1])
 
 
-def q_of_alpha(sys_: WeightedSystem, alpha: float, tol: float = 1e-10) -> float:
+def q_of_alpha(sys_: WeightedSystem, alpha: float) -> float:
     """Inverse of alpha_of_q on the open interval (alpha_min, alpha_max).
 
     For degenerate systems the interval is empty; the single attainable
@@ -99,7 +99,8 @@ def q_of_alpha(sys_: WeightedSystem, alpha: float, tol: float = 1e-10) -> float:
         if not lo < mid < hi:
             return mid  # interval exhausted at float resolution
         val = alpha_of_q(sys_, mid)
-        if abs(val - alpha) <= tol:
+        # f_of_alpha's two routes agree only if |q| * |alpha(q) - alpha| << 1e-8
+        if abs(val - alpha) <= 1e-12:
             return mid
         if val > alpha:
             lo = mid
@@ -128,8 +129,7 @@ def _f_both(sys_: WeightedSystem, alpha: float) -> tuple[float, float, float, bo
     elif alpha >= amax - edge:
         q, capped = -Q_CAP, True
     else:
-        # route agreement needs |q| * |alpha(q) - alpha| well under 1e-8
-        q, capped = q_of_alpha(sys_, alpha, tol=1e-12), False
+        q, capped = q_of_alpha(sys_, alpha), False
     tau, w = _tilt(sys_, q)
     legendre = alpha * q + tau
     quotient = _entropy_quotient(sys_, w)

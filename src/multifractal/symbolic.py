@@ -3,8 +3,7 @@
 Words of a fixed length are grouped by type (empirical symbol frequency);
 counting, entropy functionals, and subshift dimensions are all carried at
 type level, so block lengths in the thousands stay cheap even though the
-underlying alphabets are astronomically large. Explicit block enumeration is
-available lazily below a hard size cap.
+underlying alphabets are astronomically large.
 
 The estimators here work on finite prefixes. assouad_estimate scans every
 window of each requested length and aggregates the per-length suprema over
@@ -44,8 +43,10 @@ from .system import (
     xlogx,
 )
 
-ENUMERATION_CAP = 10_000_000
 TYPE_CAP = 5_000_000
+# bits allowed for a block family's exact counts: n_types * free * log2(m)
+# bounds them, and keeps block_alphabet near a second or two
+BIT_BUDGET = 20_000_000
 M_SCAN_CAP = 1_000_000
 
 
@@ -146,23 +147,15 @@ def type_class_log_count(n: int, freqs) -> TypeClassCount:
     The class is counted inside the full shift, so the sandwich is
     n*H(q) - (m+1)*log(n+1) <= log #T <= n*H(q).
     """
-    if isinstance(freqs, TypeVector):
-        if n % freqs.n:
-            raise DenominatorError(
-                f"type with denominator {freqs.n} cannot be scaled to n={n}")
-        scale = n // freqs.n
-        counts = [c * scale for c in freqs.counts]
-    else:
-        counts = []
-        for x in freqs:
-            k = x * n
-            k_int = round(float(k))
-            if abs(float(k) - k_int) > 1e-9 * max(1, n):
-                raise DenominatorError(
-                    f"frequency {x} is not a multiple of 1/{n}")
-            counts.append(k_int)
-        if sum(counts) != n:
-            raise DenominatorError("frequencies do not sum to one at this n")
+    counts = []
+    for x in freqs:
+        k = x * n
+        k_int = round(float(k))
+        if abs(float(k) - k_int) > 1e-9 * max(1, n):
+            raise DenominatorError(f"frequency {x} is not a multiple of 1/{n}")
+        counts.append(k_int)
+    if sum(counts) != n:
+        raise DenominatorError("frequencies do not sum to one at this n")
     m = len(counts)
     count = _multinomial(n, counts)
     h = float(-xlogx(np.array(counts, dtype=float) / n).sum())
@@ -232,27 +225,6 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
 
 
-def _words_of_counts(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All distinct words with the given symbol counts (1-based symbols)."""
-    total = sum(counts)
-    work = list(counts)
-    prefix: list[int] = []
-
-    def rec():
-        if len(prefix) == total:
-            yield tuple(prefix)
-            return
-        for i, c in enumerate(work):
-            if c:
-                work[i] -= 1
-                prefix.append(i + 1)
-                yield from rec()
-                prefix.pop()
-                work[i] += 1
-
-    yield from rec()
-
-
 @dataclass(frozen=True)
 class TypeRow:
     """One type class of a block alphabet: counts include any appended tail."""
@@ -295,19 +267,6 @@ class BlockAlphabet:
             raise EmptyAlphabetError("alphabet has no blocks")
         return max(row.ratio for row in self.rows)
 
-    def blocks(self) -> Iterator[Word]:
-        """Lazily enumerate every block, grouped by type."""
-        if self.block_count > ENUMERATION_CAP:
-            raise SizeCapError(
-                f"{self.block_count} blocks exceed the enumeration cap "
-                f"{ENUMERATION_CAP}; use the type rows instead")
-        tail = tuple(self.kappa) if self.kappa is not None else ()
-        kc = _kappa_counts(self.kappa, self.system.m)
-        for row in self.rows:
-            free_counts = [c - k for c, k in zip(row.counts, kc)]
-            for free in _words_of_counts(free_counts):
-                yield Word(free + tail)
-
 
 def _log_terms(gamma: BlockAlphabet) -> tuple[np.ndarray, np.ndarray]:
     """Per-row log block count and log ratio of a block alphabet."""
@@ -337,8 +296,10 @@ def block_alphabet(sys_: WeightedSystem, n: int, alpha: float | None = None,
     if free < 0:
         raise DomainError(f"tail of length {n - free} does not fit in n={n}")
     n_types = math.comb(free + m - 1, m - 1)
-    if n_types > TYPE_CAP:
-        raise SizeCapError(f"{n_types} candidate types exceed cap {TYPE_CAP}")
+    # an int compares exactly with a float, so a huge n_types cannot overflow
+    if n_types * free > BIT_BUDGET / math.log2(m):
+        raise SizeCapError(f"{free} free letters over {m} symbols exceed the "
+                           f"budget of {BIT_BUDGET} bits of exact counts")
     lp, lr = np.asarray(sys_.log_probs), np.asarray(sys_.log_ratios)
     rows = []
     for comp in _compositions(free, m):
@@ -446,6 +407,8 @@ def moran_construct(sys_: WeightedSystem, alpha: float, eps: float, n: int,
                           f"({a_lo}, {a_hi})")
     if eps <= 0.0:
         raise DomainError("epsilon must be positive")
+    if not math.isfinite(eps):
+        raise DomainError(f"epsilon={eps} is not finite")
     if stages < 1:
         raise DomainError("need at least one stage")
     gamma = block_alphabet(sys_, n, alpha)
@@ -514,7 +477,7 @@ def abundance_report(sys_: WeightedSystem, n: int, delta: float,
     that every interior lattice point with spacing ~delta/2 has a realized
     type within l-inf distance delta/2, certifying delta-density.
     """
-    if delta <= 0.0 or delta > 1.0:
+    if not 0.0 < delta <= 1.0:
         raise DomainError("delta must lie in (0, 1]")
     gamma = block_alphabet(sys_, n, None, kappa)
     m = sys_.m
@@ -558,13 +521,3 @@ def _nearest_free_counts(q: Sequence[float], n: int, kc: Sequence[int],
         fracs[i] += 1.0
         rem += 1
     return base
-
-
-def sample_word(vector, length: int, seed: int) -> Word:
-    """Reproducible iid word with the given symbol distribution."""
-    arr = _freq_array(vector)
-    if length < 0:
-        raise DomainError("length must be nonnegative")
-    rng = np.random.default_rng(seed)
-    symbols = rng.choice(arr.size, size=length, p=arr / arr.sum()) + 1
-    return Word(symbols.astype(np.int16))

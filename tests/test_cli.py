@@ -38,6 +38,19 @@ def run_cli(capsys, argv):
     return code, out.out, out.err
 
 
+def package_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(multifractal.__file__).resolve().parents[1])
+    return env
+
+
+def run_cli_process(argv, timeout=30.0):
+    """The CLI in its own process; a run past timeout fails the test."""
+    return subprocess.run([sys.executable, "-m", "multifractal.cli", *argv],
+                          env=package_env(), capture_output=True, text=True,
+                          timeout=timeout)
+
+
 class TestGridParsing:
     def test_linear_grid(self):
         grid = parse_linear_grid("-5:5:64")
@@ -122,12 +135,16 @@ class TestExitCodes:
         ["ball", "-x", "0.5", "-r", "0.25", "--tol", "nan"],
         ["doubling-scan", "-x", "0.3", "--gamma", "inf"],
         ["spectrum", "--q-grid", "nan:1:3"],
+        ["moran", "--alpha", "1.0", "--epsilon", "nan", "--n", "16"],
+        ["moran", "--alpha", "1.0", "--epsilon", "inf", "--n", "16"],
+        ["witness", "--n-target", "nan"],
+        ["assouad-scan", "-x", "0.3", "--min-ratio", "nan"],
     ])
     def test_non_finite_input_is_one(self, capsys, s1_path, argv):
         code, out, err = run_cli(capsys, argv + ["-s", s1_path])
         assert code == 1
         assert out == ""
-        assert err.startswith("DomainError:") and "Traceback" not in err
+        assert err.startswith("DomainError:") and err.count("\n") == 1
 
     def test_overflowing_q_prints_one_line(self, capsys, s1_path):
         with warnings.catch_warnings():
@@ -152,6 +169,15 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, argv + ["-s", s1_path])
         assert code == 2 and out == ""
         assert err.startswith("UsageError:") and err.count("\n") == 1
+
+    def test_oversized_block_family_is_one(self, s1_path):
+        # 15999 types of 15998 free letters: over the bit budget, refused
+        # before the type walk, which would otherwise run for minutes
+        res = run_cli_process(["abundance", "-s", s1_path, "--n", "16000",
+                               "--delta", "0.25"])
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.startswith("SizeCapError:")
+        assert res.stderr.count("\n") == 1
 
     def test_success_is_zero(self, capsys, s1_path):
         code, out, err = run_cli(capsys, ["ball", "-s", s1_path,
@@ -278,6 +304,20 @@ class TestJsonCommands:
         doc = json.loads(out)
         assert doc == {"found": False, "n_target": 1.5, "depth_cap": 32}
 
+    @pytest.mark.parametrize("system", [
+        {"probs": [0.5, 0.5], "ratios": [0.5, 0.5], "translations": [0.0, 0.5]},
+        {"probs": [0.5, 0.5], "ratios": [0.3, 0.3], "translations": [0.0, 0.7]},
+    ])
+    def test_witness_ends_for_any_depth_cap(self, tmp_path, system):
+        # equal edge weights never raise the mass ratio past depth 0, and a
+        # gapped system has no shared point to descend to
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(system))
+        res = run_cli_process(["witness", "-s", str(path), "--n-target", "4",
+                               "--depth-cap", "100000000000000000000"])
+        assert res.returncode == 0 and res.stderr == ""
+        assert json.loads(res.stdout)["found"] is False
+
     def test_moran_spec_schema(self, capsys, s1_path):
         code, out, _ = run_cli(capsys, ["moran", "-s", s1_path, "--alpha", "1.0",
                                         "--epsilon", "0.1", "--n", "128",
@@ -317,8 +357,7 @@ def test_import_leaves_scipy_unloaded():
 
     Nothing fans out over threads either, so concurrent.futures stays out.
     """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(multifractal.__file__).resolve().parents[1])
+    env = package_env()
     probe = ("import sys, multifractal; print([m in sys.modules "
              "for m in ('scipy', 'concurrent.futures')])")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,

@@ -27,7 +27,6 @@ from multifractal import (
     fixed_point,
     load_system,
     non_doubling_witness,
-    osc_multiplicity,
     word_stats,
 )
 
@@ -299,6 +298,12 @@ class TestAssouadScan:
         with pytest.raises(DomainError):
             assouad_scan(s1, 0.5, [0.5, 0.25], min_ratio=8.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_min_ratio(self, s1, bad):
+        scales = [0.5 ** k for k in range(1, 13)]
+        with pytest.raises(DomainError, match="not finite"):
+            assouad_scan(s1, 0.3, scales, min_ratio=bad)
+
 
 class TestWitness:
     def test_target_four(self, s1):
@@ -339,19 +344,10 @@ class TestWitness:
         with pytest.raises(DomainError):
             non_doubling_witness(s1, 2.0, depth_cap=0)
 
-
-class TestOscMultiplicity:
-    def test_boundary_ball_counts_touching(self, s1):
-        # B(1/2, 1/4) meets all four depth-2 cylinders, two only at a point
-        assert osc_multiplicity(s1, [0.5], [0.25]) == 4
-
-    def test_random_points_stay_bounded(self, s1):
-        count = osc_multiplicity(s1, 200, [0.5 ** 3, 0.5 ** 6, 0.5 ** 9])
-        assert count == 3
-
-    def test_bad_scale(self, s1):
-        with pytest.raises(DomainError):
-            osc_multiplicity(s1, [0.5], [1.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_target(self, s1, bad):
+        with pytest.raises(DomainError, match="not finite"):
+            non_doubling_witness(s1, bad)
 
 
 class TestCoding:

@@ -1,11 +1,13 @@
 """Tests for type vectors, block alphabets, greedy words, and Moran stages.
 
 Small-n block alphabets are cross-checked against direct enumeration of
-{1..m}^n, so the type-level bookkeeping is never trusted blind.
+{1..m}^n, grouped by type, so the type-level bookkeeping is never trusted
+blind.
 """
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,12 +34,12 @@ from multifractal import (
     local_dim_prefixes,
     moran_construct,
     moran_dimension,
-    sample_word,
     subshift_dimension,
     type_class_log_count,
     type_of,
     word_stats,
 )
+from multifractal import symbolic
 from multifractal.symbolic import _compositions
 from multifractal.system import WeightedSystem, word_log_arrays
 
@@ -111,6 +113,15 @@ def brute_blocks(sys_, n, alpha=None, kappa=""):
         if alpha is None or word_stats(sys_, w).ratio <= alpha + 1e-12:
             kept.append(str(w))
     return sorted(kept)
+
+
+def by_type(words, m):
+    """Words grouped by type: {symbol counts: number of words}."""
+    return dict(Counter(type_of(Word.from_string(w), m).counts for w in words))
+
+
+def type_counts(gamma):
+    return {row.counts: row.count for row in gamma.rows}
 
 
 class TestTypeVector:
@@ -190,14 +201,6 @@ class TestTypeClassCount:
         assert tc.count == math.comb(8, 3)
         assert tc.exact_log == pytest.approx(math.log(56))
 
-    def test_type_vector_scaling(self):
-        tc = type_class_log_count(9, TypeVector((1, 2)))
-        assert tc.count == math.comb(9, 3)
-
-    def test_incompatible_denominator(self):
-        with pytest.raises(DenominatorError):
-            type_class_log_count(10, TypeVector((1, 2)))
-
     def test_non_lattice_frequency(self):
         with pytest.raises(DenominatorError):
             type_class_log_count(8, [0.3, 0.7])
@@ -237,8 +240,10 @@ class TestAssouadEstimate:
             sys_ = make_random_system(rng)
             a_lo = float(np.min(sys_.symbol_ratios))
             a_hi = float(np.max(sys_.symbol_ratios))
-            word = sample_word(rng.dirichlet(np.ones(sys_.m)), 400,
-                               seed=int(rng.integers(1 << 30)))
+            freqs = rng.dirichlet(np.ones(sys_.m))
+            seed = int(rng.integers(1 << 30))
+            word = Word(np.random.default_rng(seed).choice(
+                sys_.m, size=400, p=freqs) + 1)
             est = assouad_estimate(sys_, word, (5, 50))
             assert est.per_n_sup.min() >= a_lo - 1e-12
             assert est.per_n_sup.max() <= a_hi + 1e-12
@@ -269,15 +274,15 @@ class TestAssouadEstimate:
 class TestBlockAlphabet:
     def test_level_two_at_one(self, s1):
         gamma = gamma_n_alpha(s1, 2, 1.0)
-        assert sorted(str(b) for b in gamma.blocks()) == ["22"]
+        assert type_counts(gamma) == by_type(["22"], 2)
 
     def test_level_two_at_top(self, s1):
         gamma = gamma_n_alpha(s1, 2, A_MAX)
-        assert sorted(str(b) for b in gamma.blocks()) == ["11", "12", "21", "22"]
+        assert type_counts(gamma) == by_type(["11", "12", "21", "22"], 2)
 
     def test_level_two_between(self, s1):
         gamma = gamma_n_alpha(s1, 2, 1.1)
-        assert sorted(str(b) for b in gamma.blocks()) == ["12", "21", "22"]
+        assert type_counts(gamma) == by_type(["12", "21", "22"], 2)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("alpha", [None, 0.8, 1.0, 1.1, 1.3, A_MAX])
@@ -285,19 +290,19 @@ class TestBlockAlphabet:
         gamma = block_alphabet(s1, n, alpha)
         want = brute_blocks(s1, n, alpha)
         assert gamma.block_count == len(want)
-        assert sorted(str(b) for b in gamma.blocks()) == want
+        assert type_counts(gamma) == by_type(want, s1.m)
 
     @pytest.mark.parametrize("alpha", [None, 1.0, 1.1])
     def test_appended_tail_matches_enumeration(self, s1, alpha):
         gamma = block_alphabet(s1, 4, alpha, kappa="12")
         want = brute_blocks(s1, 4, alpha, kappa="12")
-        assert sorted(str(b) for b in gamma.blocks()) == want
+        assert type_counts(gamma) == by_type(want, s1.m)
 
     def test_random_system_enumeration(self, random_system):
         sys_ = random_system(np.random.default_rng(3))
         gamma = block_alphabet(sys_, 4, None)
         assert gamma.block_count == sys_.m ** 4
-        assert sorted(str(b) for b in gamma.blocks()) == brute_blocks(sys_, 4)
+        assert type_counts(gamma) == by_type(brute_blocks(sys_, 4), sys_.m)
 
     def test_alias_agrees(self, s1):
         a = gamma_n_alpha(s1, 5, 1.0, kappa="12")
@@ -330,11 +335,21 @@ class TestBlockAlphabet:
         with pytest.raises(DomainError):
             block_alphabet(s1, 2, kappa="12121")
 
-    def test_enumeration_cap(self, s1):
-        gamma = block_alphabet(s1, 30, None)
-        assert gamma.block_count == 2 ** 30
+    def test_bit_budget_is_types_times_free_times_log2_m(self, s1,
+                                                         monkeypatch):
+        monkeypatch.setattr(symbolic, "BIT_BUDGET", 100)
+        assert block_alphabet(s1, 9).block_count == 2 ** 9  # 10 * 9 bits
         with pytest.raises(SizeCapError):
-            next(gamma.blocks())
+            block_alphabet(s1, 10)  # 11 * 10 bits
+        assert block_alphabet(s1, 11, None, "12").block_count == 2 ** 9
+        assert block_alphabet(M3, 4).block_count == 3 ** 4  # 15 * 4 * 1.58
+        with pytest.raises(SizeCapError):
+            block_alphabet(M3, 5)  # 21 * 5 * 1.58 bits
+
+    def test_bit_budget_refuses_before_the_walk(self, s1):
+        # 15999 types * 15998 free letters: the walk would run for minutes
+        with pytest.raises(SizeCapError):
+            block_alphabet(s1, 16000, None, "12")
 
 
 class TestSubshiftDimension:
@@ -530,6 +545,11 @@ class TestMoran:
         with pytest.raises(DomainError):
             moran_construct(s1, 1.2, 0.0, 16)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_epsilon(self, s1, eps):
+        with pytest.raises(DomainError, match="not finite"):
+            moran_construct(s1, 1.0, eps, 16)
+
     def test_bad_stage_count(self, s1):
         with pytest.raises(DomainError):
             moran_construct(s1, 1.2, 0.05, 16, stages=0)
@@ -563,28 +583,12 @@ class TestAbundance:
         with pytest.raises(DomainError):
             abundance_report(s1, 8, 0.0)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_delta(self, s1, delta):
+        with pytest.raises(DomainError):
+            abundance_report(s1, 8, delta)
+
     def test_tail_fills_block(self, s1):
         with pytest.raises(DomainError):
             abundance_report(s1, 2, 0.25, kappa="12")
 
-
-class TestSampleWord:
-    def test_deterministic(self):
-        a = sample_word([0.3, 0.7], 50, seed=5)
-        b = sample_word([0.3, 0.7], 50, seed=5)
-        assert a == b
-
-    def test_seed_changes_word(self):
-        assert sample_word([0.3, 0.7], 50, seed=5) != sample_word([0.3, 0.7], 50, seed=6)
-
-    def test_empirical_frequency(self):
-        w = sample_word([0.3, 0.7], 10_000, seed=1)
-        freq = np.bincount(w.symbols, minlength=3)[1:] / 10_000
-        assert freq == pytest.approx([0.3, 0.7], abs=0.03)
-
-    def test_zero_length(self):
-        assert len(sample_word([0.5, 0.5], 0, seed=0)) == 0
-
-    def test_negative_length(self):
-        with pytest.raises(DomainError):
-            sample_word([0.5, 0.5], -1, seed=0)
