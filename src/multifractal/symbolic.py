@@ -21,6 +21,7 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BudgetError,
@@ -47,6 +48,14 @@ TYPE_CAP = 5_000_000
 # bits allowed for a block family's exact counts: n_types * free * log2(m)
 # bounds them, and keeps block_alphabet near a second or two
 BIT_BUDGET = 20_000_000
+# rows per block of a type walk: enough to spread numpy's per-call cost
+# thin, few enough that a block's arrays and lists stay near 100 KB, so the
+# walk's memory does not grow with the family
+WALK_BLOCK = 1024
+# float cells in each of assouad_estimate's two scan buffers: window lengths
+# are scanned in batches that fit, one length at a time for longer words.
+# Larger buffers scan a little faster but raise the resident set.
+SCAN_CELLS = 1 << 14
 M_SCAN_CAP = 1_000_000
 
 
@@ -147,18 +156,24 @@ def type_class_log_count(n: int, freqs) -> TypeClassCount:
     The class is counted inside the full shift, so the sandwich is
     n*H(q) - (m+1)*log(n+1) <= log #T <= n*H(q).
     """
+    tol = 1e-9 * max(1, n)
     counts = []
     for x in freqs:
-        k = x * n
-        k_int = round(float(k))
-        if abs(float(k) - k_int) > 1e-9 * max(1, n):
+        k = float(x * n)
+        k_int = round(k)
+        if abs(k - k_int) > tol:
             raise DenominatorError(f"frequency {x} is not a multiple of 1/{n}")
         counts.append(k_int)
     if sum(counts) != n:
         raise DenominatorError("frequencies do not sum to one at this n")
     m = len(counts)
     count = _multinomial(n, counts)
-    h = float(-xlogx(np.array(counts, dtype=float) / n).sum())
+    total = 0.0  # sum of f log f over the frequencies, 0 log 0 = 0
+    for c in counts:
+        if c:
+            f = c / n
+            total += f * math.log(f)
+    h = -total
     upper = n * h
     lower = n * h - (m + 1) * math.log(n + 1)
     return TypeClassCount(count, math.log(count), lower, upper)
@@ -201,28 +216,57 @@ def assouad_estimate(sys_: WeightedSystem, word: Word,
             f"window range [{n_lo}, {n_hi}] does not fit a prefix of "
             f"length {len(word)}")
     lp, lr = word_log_arrays(sys_, word)
-    cp = np.concatenate([[0.0], np.cumsum(lp)])
-    cr = np.concatenate([[0.0], np.cumsum(lr)])
     ns = np.arange(n_lo, n_hi + 1)
     sups = np.empty(ns.size)
-    for i, n in enumerate(ns):
-        num = cp[n:] - cp[:-n]
-        den = cr[n:] - cr[:-n]
-        sups[i] = np.max(num / den)
+    # Prefix sums, then ns.size - 1 reads past the word's end: +1e300 over
+    # -1e300, whose ratio -1 lies below every window's (positive) exponent.
+    # Row n of a window view starts at position n, and a batch's row i holds
+    # the windows of length n + i, so each row's maximum is its own.
+    size = len(word) + 1
+    cp, cr = np.zeros(size + ns.size - 1), np.zeros(size + ns.size - 1)
+    np.cumsum(lp, out=cp[1:size])
+    np.cumsum(lr, out=cr[1:size])
+    cp[size:], cr[size:] = 1e300, -1e300
+    width = size - n_lo
+    batch = max(1, SCAN_CELLS // width)
+    starts_p = sliding_window_view(cp, width)
+    starts_r = sliding_window_view(cr, width)
+    num, den = np.empty((batch, width)), np.empty((batch, width))
+    for i in range(0, ns.size, batch):
+        n, b, k = n_lo + i, min(batch, ns.size - i), width - i
+        u, v = num[:b, :k], den[:b, :k]
+        np.subtract(starts_p[n:n + b, :k], cp[:k], out=u)
+        np.subtract(starts_r[n:n + b, :k], cr[:k], out=v)
+        sups[i:i + b] = np.divide(u, v, out=u).max(axis=1)
     top = ns.size - max(1, ns.size - (3 * ns.size) // 4)
     estimate = float(sups[top:].max()) if ns.size > 1 else float(sups[-1])
     return AssouadEstimate(ns, sups, estimate, (n_lo, n_hi))
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Nonnegative integer tuples of the given length and sum, lexicographic.
+def _compositions(total: int, parts: int) -> Iterator[np.ndarray]:
+    """Nonnegative integer rows of the given length and sum, lexicographic.
 
     Stars and bars: each choice of parts - 1 bars among total + parts - 1
     slots, taken in lexicographic order, splits the other slots into parts.
+    The rows come as int64 arrays of at most WALK_BLOCK rows each, cut from
+    one stream of bar positions, so the walk never holds the whole family.
     """
+    if parts == 1:
+        yield np.array([[total]], dtype=np.int64)
+        return
     slots = total + parts - 1
-    for bars in itertools.combinations(range(slots), parts - 1):
-        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+    bars = itertools.chain.from_iterable(
+        itertools.combinations(range(slots), parts - 1))
+    while True:
+        flat = np.fromiter(itertools.islice(bars, WALK_BLOCK * (parts - 1)),
+                           dtype=np.int64)
+        if not flat.size:
+            return
+        edges = np.empty((flat.size // (parts - 1), parts + 1), dtype=np.int64)
+        edges[:, 0] = -1
+        edges[:, 1:-1] = flat.reshape(-1, parts - 1)
+        edges[:, -1] = slots
+        yield np.diff(edges, axis=1) - 1
 
 
 @dataclass(frozen=True)
@@ -255,6 +299,14 @@ class BlockAlphabet:
     def block_count(self) -> int:
         return sum(row.count for row in self.rows)
 
+    @cached_property
+    def log_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row log block count and log ratio, computed once."""
+        log_counts = np.array([math.log(row.count) for row in self.rows])
+        log_rs = np.array([row.log_r for row in self.rows])
+        log_counts.flags.writeable = log_rs.flags.writeable = False
+        return log_counts, log_rs
+
     @property
     def alpha_min(self) -> float:
         if not self.rows:
@@ -266,12 +318,6 @@ class BlockAlphabet:
         if not self.rows:
             raise EmptyAlphabetError("alphabet has no blocks")
         return max(row.ratio for row in self.rows)
-
-
-def _log_terms(gamma: BlockAlphabet) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row log block count and log ratio of a block alphabet."""
-    return (np.array([math.log(row.count) for row in gamma.rows]),
-            np.array([row.log_r for row in gamma.rows]))
 
 
 def _kappa_counts(kappa: Word | None, m: int) -> tuple[int, ...]:
@@ -300,17 +346,22 @@ def block_alphabet(sys_: WeightedSystem, n: int, alpha: float | None = None,
     if n_types * free > BIT_BUDGET / math.log2(m):
         raise SizeCapError(f"{free} free letters over {m} symbols exceed the "
                            f"budget of {BIT_BUDGET} bits of exact counts")
-    lp, lr = np.asarray(sys_.log_probs), np.asarray(sys_.log_ratios)
+    logs = np.column_stack([sys_.log_probs, sys_.log_ratios])
+    tail = np.asarray(kc, dtype=np.int64)
     rows = []
-    for comp in _compositions(free, m):
-        counts = tuple(c + k for c, k in zip(comp, kc))
-        arr = np.asarray(counts, dtype=float)
-        log_p = float(arr @ lp)
-        log_r = float(arr @ lr)
+    for comps in _compositions(free, m):
+        counts = comps + tail
+        log_p, log_r = (counts.astype(float) @ logs).T
         ratio = log_p / log_r
-        if alpha is not None and ratio > alpha + 1e-12:
-            continue
-        rows.append(TypeRow(counts, _multinomial(free, comp), log_p, log_r, ratio))
+        if alpha is not None:
+            keep = ~(ratio > alpha + 1e-12)  # a NaN alpha cuts nothing
+            comps, counts = comps[keep], counts[keep]
+            log_p, log_r, ratio = log_p[keep], log_r[keep], ratio[keep]
+        rows.extend(
+            TypeRow(tuple(c), _multinomial(free, comp), p, r, q)
+            for comp, c, p, r, q in zip(comps.tolist(), counts.tolist(),
+                                        log_p.tolist(), log_r.tolist(),
+                                        ratio.tolist()))
     return BlockAlphabet(sys_, n, kappa, alpha, tuple(rows))
 
 
@@ -328,7 +379,7 @@ def subshift_dimension(gamma: BlockAlphabet) -> float:
     """Similarity dimension s solving sum over blocks of r_a^s = 1."""
     if not gamma.rows:
         raise EmptyAlphabetError("cannot size an empty alphabet")
-    log_counts, log_rs = _log_terms(gamma)
+    log_counts, log_rs = gamma.log_terms
     return lse_root(log_counts, log_rs, 0.0)
 
 
@@ -426,7 +477,7 @@ def moran_construct(sys_: WeightedSystem, alpha: float, eps: float, n: int,
     spine = Word(np.repeat(greedy_word(sys_, alpha, stages).symbols, n))
     _, lr = word_log_arrays(sys_, spine)
     spine_log_r = np.cumsum(lr)
-    log_counts, log_rs = _log_terms(gamma)
+    log_counts, log_rs = gamma.log_terms
     gain = logsumexp(log_counts + s * log_rs)  # > 0 by the guard above
     ms = []
     for k in range(1, stages + 1):
@@ -449,7 +500,7 @@ def moran_dimension(spec: MoranSpec, k: int) -> float:
     """
     if not (1 <= k <= len(spec.stage_lengths)):
         raise DomainError(f"stage {k} outside 1..{len(spec.stage_lengths)}")
-    log_counts, log_rs = _log_terms(spec.blocks)
+    log_counts, log_rs = spec.blocks.log_terms
     _, lr = word_log_arrays(spec.system, spec.spine)
     spine_log_r = np.cumsum(lr)
     m_total = sum(spec.stage_lengths[:k])
@@ -485,13 +536,19 @@ def abundance_report(sys_: WeightedSystem, n: int, delta: float,
     free = n - sum(kc)
     if free < 1:
         raise DomainError(f"n={n} leaves no free positions after the tail")
-    a1 = min(1.0, min(row.count / _multinomial(n, row.counts)
-                      for row in gamma.rows))
+    # #T_family / #T_full = prod_i perm(c_i, k_i) / perm(n, |kappa|) over the
+    # row's counts c_i and the tail's k_i; the denominator is common to every
+    # row, so the exact minimum is taken over the numerators alone
+    least = min(math.prod(math.perm(c, k) for c, k in zip(row.counts, kc))
+                for row in gamma.rows)
+    a1 = min(1.0, least / math.perm(n, n - free))
     big_d = math.ceil(2 * m / delta)
     if math.comb(big_d - 1, m - 1) > TYPE_CAP:
         raise SizeCapError("delta-net is too fine for this alphabet size")
     a2 = True
-    for raw in _compositions(big_d - m, m):
+    net = itertools.chain.from_iterable(
+        block.tolist() for block in _compositions(big_d - m, m))
+    for raw in net:
         q = [(c + 1) / big_d for c in raw]
         c_near = _nearest_free_counts(q, n, kc, free)
         dist = max(abs((ci + ki) / n - qi)

@@ -7,6 +7,7 @@ blind.
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -40,8 +41,8 @@ from multifractal import (
     word_stats,
 )
 from multifractal import symbolic
-from multifractal.symbolic import _compositions
-from multifractal.system import WeightedSystem, word_log_arrays
+from multifractal.symbolic import _compositions, _multinomial
+from multifractal.system import WeightedSystem, alpha_bounds, word_log_arrays
 
 from conftest import make_random_system
 
@@ -75,6 +76,39 @@ def recursive_compositions(total, parts):
     for head in range(total + 1):
         for rest in recursive_compositions(total - head, parts - 1):
             yield (head,) + rest
+
+
+def row_loop_alphabet(sys_, n, alpha, kappa):
+    """The per-row type walk that block_alphabet's array walk replaced.
+
+    One numpy dot product per type, the exponent cut per row, and the count
+    from factorials: (counts, count, log_p, log_r, ratio) per kept type.
+    """
+    m = sys_.m
+    kc = type_of(Word.from_string(kappa), m).counts if kappa else (0,) * m
+    free = n - sum(kc)
+    lp, lr = np.asarray(sys_.log_probs), np.asarray(sys_.log_ratios)
+    rows = []
+    for comp in recursive_compositions(free, m):
+        counts = tuple(c + k for c, k in zip(comp, kc))
+        arr = np.asarray(counts, dtype=float)
+        log_p = float(arr @ lp)
+        log_r = float(arr @ lr)
+        ratio = log_p / log_r
+        if alpha is not None and ratio > alpha + 1e-12:
+            continue
+        count = math.factorial(free) // math.prod(map(math.factorial, comp))
+        rows.append((counts, count, log_p, log_r, ratio))
+    return rows
+
+
+def per_length_scan(sys_, word, n_lo, n_hi):
+    """assouad_estimate's per_n_sup, one window length at a time."""
+    lp, lr = word_log_arrays(sys_, word)
+    cp = np.concatenate([[0.0], np.cumsum(lp)])
+    cr = np.concatenate([[0.0], np.cumsum(lr)])
+    return np.array([np.max((cp[n:] - cp[:-n]) / (cr[n:] - cr[:-n]))
+                     for n in range(n_lo, n_hi + 1)])
 
 
 def block_chase_spine(sys_, alpha, n, stages):
@@ -265,6 +299,18 @@ class TestAssouadEstimate:
         assert est.ns.tolist() == list(range(5, 21))
         assert est.per_n_sup.size == 16
 
+    @pytest.mark.parametrize("cells", [1, 50, 333, None])
+    def test_batched_scan_matches_per_length_loop(self, cells, monkeypatch):
+        if cells is not None:
+            monkeypatch.setattr(symbolic, "SCAN_CELLS", cells)
+        rng = np.random.default_rng(41)
+        for sys_, length, lo, hi in [(M3, 300, 1, 300), (M4, 500, 20, 140),
+                                     (M4, 64, 64, 64), (M3, 2000, 400, 700)]:
+            word = Word(rng.integers(1, sys_.m + 1, length))
+            est = assouad_estimate(sys_, word, (lo, hi))
+            assert np.array_equal(est.per_n_sup,
+                                  per_length_scan(sys_, word, lo, hi))
+
     @pytest.mark.parametrize("rng", [(0, 5), (5, 3), (5, 200)])
     def test_bad_window_range(self, s1, rng):
         with pytest.raises(WindowRangeError):
@@ -311,10 +357,91 @@ class TestBlockAlphabet:
 
     @pytest.mark.parametrize("parts", [1, 2, 3, 4, 5])
     def test_compositions_match_recursive_walk(self, parts):
+        # parts = 5 reaches 40,920 rows at total 29: several full blocks
         for total in range(30):
-            got = list(_compositions(total, parts))
+            blocks = list(_compositions(total, parts))
+            assert all(b.dtype == np.int64 and b.shape[1] == parts
+                       and 1 <= len(b) <= symbolic.WALK_BLOCK for b in blocks)
+            assert all(len(b) == symbolic.WALK_BLOCK for b in blocks[:-1])
+            got = [tuple(row) for b in blocks for row in b.tolist()]
             assert got == list(recursive_compositions(total, parts))
             assert len(got) == math.comb(total + parts - 1, parts - 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1),
+           n=st.integers(1, 14), tail=st.integers(0, 3),
+           cut=st.one_of(st.none(), st.floats(-0.05, 1.05)))
+    def test_array_walk_matches_row_loop(self, m, seed, n, tail, cut):
+        rng = np.random.default_rng(seed)
+        p = np.clip(rng.dirichlet(np.full(m, 2.0)), 0.02, None)
+        sys_ = WeightedSystem(tuple((p / p.sum()).tolist()),
+                              tuple(rng.uniform(0.05, 0.98 / m, m).tolist()))
+        kappa = "".join(str(int(c)) for c in rng.integers(1, m + 1,
+                                                          min(tail, n)))
+        lo, hi = alpha_bounds(sys_)
+        alpha = None if cut is None else lo + cut * (hi - lo)
+        got = [(r.counts, r.count, r.log_p, r.log_r, r.ratio)
+               for r in block_alphabet(sys_, n, alpha, kappa).rows]
+        want = row_loop_alphabet(sys_, n, alpha, kappa)
+        # a type may be kept by one side only where its ratio sits on the cut
+        differ = {row[0] for row in got} ^ {row[0] for row in want}
+        if differ:
+            ratio = {row[0]: row[4]
+                     for row in row_loop_alphabet(sys_, n, None, kappa)}
+            assert all(abs(ratio[t] - (alpha + 1e-12)) <= 1e-12
+                       for t in differ)
+        got = [row for row in got if row[0] not in differ]
+        want = [row for row in want if row[0] not in differ]
+        assert [row[:2] for row in got] == [row[:2] for row in want]
+        for g, w in zip(got, want):
+            assert max(abs(a - b) for a, b in zip(g[2:], w[2:])) <= 1e-12
+
+    def test_block_size_leaves_results_unchanged(self, s1, monkeypatch):
+        families = [(s1, 40, 1.0, None), (s1, 33, None, "12"),
+                    (M3, 12, 0.9, "1231"), (M4, 9, None, None)]
+        reports = [(s1, 30, 0.25, "12"), (M3, 12, 0.3, "123"),
+                   (s1, 8, 0.01, "12"), (M4, 10, 0.2, "1234")]
+        visits = []
+        nearest = symbolic._nearest_free_counts
+
+        def counted(*args):
+            visits[-1] += 1
+            return nearest(*args)
+
+        monkeypatch.setattr(symbolic, "_nearest_free_counts", counted)
+
+        def run():
+            visits.append(0)
+            rows = [block_alphabet(*f).rows for f in families]
+            reps = [abundance_report(*r) for r in reports]
+            return rows, reps
+
+        default = run()
+        monkeypatch.setattr(symbolic, "WALK_BLOCK", 7)
+        assert run() == default
+        # the delta-net stops at the same point: (s1, 8, 0.01) is not dense
+        assert visits[0] == visits[1]
+        assert default[1][2].a2_delta_dense is False
+
+    def test_filtered_walk_memory_is_bounded(self):
+        # m = 8, n = 17: 346,104 types, 5.9e6 of the 6.7e6 bits the budget
+        # allows; their counts alone would take 22 MB as one int64 array.
+        # The block walk peaked at 0.4 MB here.
+        m, n = 8, 17
+        p = np.arange(1, m + 1) / (m * (m + 1) / 2)
+        sys_ = WeightedSystem(tuple(p.tolist()), (0.1,) * m)
+        n_types = math.comb(n + m - 1, m - 1)
+        assert n_types * n <= symbolic.BIT_BUDGET / math.log2(m)
+        assert n_types * m * 8 > 20e6
+        lo, hi = alpha_bounds(sys_)
+        tracemalloc.start()
+        try:
+            gamma = block_alphabet(sys_, n, lo + 0.05 * (hi - lo))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < len(gamma.rows) < 1000
+        assert peak < 1.5e6
 
     def test_exponent_extremes(self, s1):
         gamma = block_alphabet(s1, 4, None)
@@ -572,6 +699,17 @@ class TestAbundance:
         assert rep.a1_min_ratio == 0.125
         assert rep.a2_delta_dense is True
         assert rep.kappa == "12"
+
+    @pytest.mark.parametrize("case", [("S1", 200, "12"), ("S1", 9, "2"),
+                                      ("S1", 301, "1121"), ("M3", 60, "1231"),
+                                      ("M4", 16, "1234"), ("M4", 12, "44")])
+    def test_a1_matches_multinomial_quotient(self, s1, case):
+        name, n, kappa = case
+        sys_ = {"S1": s1, "M3": M3, "M4": M4}[name]
+        rows = block_alphabet(sys_, n, None, kappa).rows
+        want = min(1.0, min(row.count / _multinomial(n, row.counts)
+                            for row in rows))
+        assert abundance_report(sys_, n, 0.5, kappa).a1_min_ratio == want
 
     def test_full_family_is_trivial(self, s1):
         assert abundance_report(s1, 8, 0.25).a1_min_ratio == 1.0
