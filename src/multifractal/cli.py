@@ -144,7 +144,6 @@ def _build_parser() -> _Parser:
     p.add_argument("-x", type=float, required=True)
     p.add_argument("--scales", default="2^(-k), k=1..40")
     p.add_argument("--min-ratio", type=float, default=4.0)
-    p.add_argument("--pair-budget", type=int, default=1_000_000)
     p.add_argument("--rel-tol", type=float, default=1e-9)
 
     p = sub.add_parser("witness", parents=[common],
@@ -209,8 +208,6 @@ def _check_domains(ns: argparse.Namespace) -> None:
     elif cmd == "assouad-scan":
         if ns.min_ratio < 1:
             bad("min-ratio must be at least 1")
-        if ns.pair_budget < 1:
-            bad("pair-budget must be positive")
         if ns.rel_tol <= 0:
             bad("rel-tol must be positive")
         parse_scale_grid(ns.scales)
@@ -315,8 +312,8 @@ def _run_doubling_scan(sys_, config):
 def _run_assouad_scan(sys_, config):
     ns = config.params
     scales = parse_scale_grid(ns.scales)
-    value = assouad_scan(sys_, ns.x, scales, pair_budget=ns.pair_budget,
-                         min_ratio=ns.min_ratio, rel_tol=ns.rel_tol)
+    value = assouad_scan(sys_, ns.x, scales, min_ratio=ns.min_ratio,
+                         rel_tol=ns.rel_tol)
     emit_table([{"x": ns.x, "estimate": value, "n_scales": len(scales)}],
                config.format, config.output)
 

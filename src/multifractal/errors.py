@@ -30,7 +30,7 @@ class EmptyWordError(MultifractalError):
 
 
 class BracketError(MultifractalError):
-    """A root search failed to bracket a sign change or to converge."""
+    """A Newton loop did not settle within system.NEWTON_CAP steps."""
 
 
 class DomainError(MultifractalError):

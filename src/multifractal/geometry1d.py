@@ -76,6 +76,8 @@ def _finite_scales(scales) -> list[float]:
     rs = [float(s) for s in scales]
     if not all(map(math.isfinite, rs)):
         raise DomainError("scales must be finite")
+    if not all(0.0 < r <= 1.0 for r in rs):
+        raise DomainError("scales must lie in (0, 1]")
     return rs
 
 
@@ -201,8 +203,6 @@ def doubling_scan(sys_: WeightedSystem, x: float, gamma: float, scales,
     rs = _finite_scales(scales)
     if not rs:
         raise DomainError("empty scale grid")
-    if min(rs) <= 0.0 or max(rs) > 1.0:
-        raise DomainError("scales must lie in (0, 1]")
     rows = []
     best = math.nan
     for r in rs:
@@ -218,8 +218,7 @@ def doubling_scan(sys_: WeightedSystem, x: float, gamma: float, scales,
 
 
 def assouad_scan(sys_: WeightedSystem, x: float, scales,
-                 pair_budget: int = 1_000_000, min_ratio: float = 4.0,
-                 rel_tol: float = 1e-9) -> float:
+                 min_ratio: float = 4.0, rel_tol: float = 1e-9) -> float:
     """Certified lower bound for the pointwise Assouad dimension at x.
 
     Maximizes log(lower(R) / upper(r)) / log(R / r) over scanned scale pairs
@@ -231,30 +230,23 @@ def assouad_scan(sys_: WeightedSystem, x: float, scales,
     rs = sorted(set(_finite_scales(scales)), reverse=True)
     if len(rs) < 2:
         raise DomainError("need at least two scales")
-    if rs[-1] <= 0.0 or rs[0] > 1.0:
-        raise DomainError("scales must lie in (0, 1]")
     for big, small in zip(rs, rs[1:]):
         if big / small < 2.0 * (1.0 - 1e-12):
             raise DomainError("scale grid must be geometric with ratio >= 2")
     bounds = [ball_measure(sys_, x, r, r * rel_tol) for r in rs]
     best = -math.inf
-    pairs = 0
     for i_big in range(len(rs)):
         if bounds[i_big].lower <= 0.0:
             continue
         for i_small in range(i_big + 1, len(rs)):
             if rs[i_big] / rs[i_small] < min_ratio * (1.0 - 1e-12):
                 continue
-            if pairs >= pair_budget:
-                break
-            pairs += 1
             up = bounds[i_small].upper
             if up <= 0.0:
                 continue
             val = (math.log(bounds[i_big].lower) - math.log(up)) \
                 / (math.log(rs[i_big]) - math.log(rs[i_small]))
-            if val > best:
-                best = val
+            best = max(best, val)
     if not math.isfinite(best):
         raise DomainError("no scale pair produced a certified ratio")
     return best
@@ -285,43 +277,60 @@ def non_doubling_witness(sys_: WeightedSystem, n_target: float,
         raise DomainError("depth_cap must be at least 1")
     order = sorted(range(sys_.m), key=lambda i: sys_.translations[i])
     left_edge, right_edge = _edge_symbols(sys_)
-    seeds = []
+    seeds = []  # chains hugging each shared point, from either side
     for a, b in zip(order, order[1:]):
         hi_a = sys_.translations[a] + sys_.ratios[a]
-        if abs(hi_a - sys_.translations[b]) > _TOUCH_TOL:
-            continue  # gap between hulls: no shared point to exploit
-        # chains hugging the shared point from each side
-        if right_edge is None or left_edge is None:
-            continue
-        seeds.append(((a + 1, right_edge), (b + 1, left_edge)))
-        seeds.append(((b + 1, left_edge), (a + 1, right_edge)))
-    lp = sys_.log_probs
-    log_target = math.log(n_target) if n_target > 0 else -math.inf
+        if abs(hi_a - sys_.translations[b]) <= _TOUCH_TOL \
+                and None not in (left_edge, right_edge):
+            seeds += [((a + 1, right_edge), (b + 1, left_edge)),
+                      ((b + 1, left_edge), (a + 1, right_edge))]
+    lp, lr = sys_.log_probs.tolist(), sys_.log_ratios.tolist()
+    floor = (math.log(n_target) if n_target > 0 else -math.inf) - 1e-12
+
+    def log_ratio(side_i, side_j, k: int) -> float:
+        return (lp[side_j[0] - 1] - lp[side_i[0] - 1]) \
+            + k * (lp[side_j[1] - 1] - lp[side_i[1] - 1])
+
+    def first_depth(side_i, side_j) -> int:
+        # each level adds step: the first depth to reach the floor (or
+        # depth_cap) is the quotient's ceiling, corrected by the same test
+        shortfall = floor - log_ratio(side_i, side_j, 0)
+        step = lp[side_j[1] - 1] - lp[side_i[1] - 1]
+        if shortfall <= 0:
+            return 0
+        if not (step > 0 and shortfall / step < depth_cap):
+            return depth_cap
+        k = math.ceil(shortfall / step)
+        while log_ratio(side_i, side_j, k - 1) >= floor:
+            k -= 1
+        while log_ratio(side_i, side_j, k) < floor:
+            k += 1
+        return k
 
     def pair_at(side_i, side_j, k: int) -> WitnessPair | None:
-        log_ratio = (lp[side_j[0] - 1] - lp[side_i[0] - 1]) \
-            + k * (lp[side_j[1] - 1] - lp[side_i[1] - 1])
-        if log_ratio < log_target - 1e-12:
+        log_ratio_k = log_ratio(side_i, side_j, k)
+        if log_ratio_k < floor:
             return None
+        try:
+            ratio = math.exp(log_ratio_k)
+        except OverflowError:
+            raise DomainError(f"mass ratio e^{log_ratio_k:.6g} at depth {k} "
+                              "overflows a float") from None
+        if math.exp(min(lr[side_i[0] - 1] + k * lr[side_i[1] - 1],
+                        lr[side_j[0] - 1] + k * lr[side_j[1] - 1])) == 0.0:
+            raise DomainError(f"cylinder size at depth {k} underflows to 0")
         wi = Word([side_i[0]] + [side_i[1]] * k)
         wj = Word([side_j[0]] + [side_j[1]] * k)
         lo_i, hi_i = cylinder_interval(sys_, wi)
         lo_j, hi_j = cylinder_interval(sys_, wj)
-        if hi_i < lo_j:
-            gap = lo_j - hi_i
-        elif hi_j < lo_i:
-            gap = lo_i - hi_j
-        else:
-            gap = 0.0
-        r_i = word_stats(sys_, wi).r
-        if gap > r_i:
+        gap = max(0.0, lo_j - hi_i, lo_i - hi_j)
+        if gap > word_stats(sys_, wi).r:
             return None
-        return WitnessPair(wi, wj, math.exp(log_ratio), gap)
+        return WitnessPair(wi, wj, ratio, gap)
 
-    # each level adds lp[j_edge] - lp[i_edge] to a seed's log ratio; with no
-    # positive step a target missed at depth 0 is missed at every depth
-    rising = any(lp[j[1] - 1] > lp[i[1] - 1] for i, j in seeds)
-    for k in range(depth_cap if rising else 1):
+    # every seed fails the ratio test at the depths below start
+    start = min((first_depth(*seed) for seed in seeds), default=depth_cap)
+    for k in range(start, depth_cap):
         for side_i, side_j in seeds:
             found = pair_at(side_i, side_j, k)
             if found is not None:

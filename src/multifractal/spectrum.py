@@ -21,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, ConsistencyError, DomainError
-from .system import WeightedSystem, alpha_bounds, lse_root, xlogx
+from .system import NEWTON_CAP, WeightedSystem, alpha_bounds, lse_root, xlogx
 
 Q_CAP = 200.0
-_MAX_DOUBLINGS = 1000
 # interior agreement between the two f(alpha) routes; spec-pinned
 F_CONSISTENCY_TOL = 1e-8
 F_ENDPOINT_TOL = 1e-3
@@ -71,8 +70,11 @@ def alpha_of_q(sys_: WeightedSystem, q: float) -> float:
 def q_of_alpha(sys_: WeightedSystem, alpha: float) -> float:
     """Inverse of alpha_of_q on the open interval (alpha_min, alpha_max).
 
-    For degenerate systems the interval is empty; the single attainable
-    value maps to the canonical parameter q = 0.
+    Safeguarded Newton from q = 0, with alpha'(q) = E_w[X^2] / E_w[log r]
+    for X = log p - alpha(q) log r under the tilted weights w; a step that
+    leaves the bracket [-q_limit, q_limit], narrowed by the sign of
+    alpha(q) - alpha, or meets zero curvature, bisects instead. A degenerate
+    system maps its single attainable value to q = 0.
     """
     amin, amax = alpha_bounds(sys_)
     if sys_.degenerate:
@@ -82,30 +84,23 @@ def q_of_alpha(sys_: WeightedSystem, alpha: float) -> float:
     if not (amin < alpha < amax):
         raise DomainError(
             f"alpha={alpha} outside the open interval ({amin}, {amax})")
-    lo, hi = -1.0, 1.0  # alpha is decreasing in q
-    n = 0
-    while alpha_of_q(sys_, lo) < alpha:
-        lo *= 2.0
-        n += 1
-        if n > _MAX_DOUBLINGS:
-            raise BracketError("bracket expansion failed approaching alpha_max")
-    while alpha_of_q(sys_, hi) > alpha:
-        hi *= 2.0
-        n += 1
-        if n > _MAX_DOUBLINGS:
-            raise BracketError("bracket expansion failed approaching alpha_min")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return mid  # interval exhausted at float resolution
-        val = alpha_of_q(sys_, mid)
+    lo, hi, q = -sys_.q_limit, sys_.q_limit, 0.0  # alpha falls as q rises
+    for _ in range(NEWTON_CAP):
+        w = _tilt(sys_, q)[1]
+        val = _alpha_from_weights(sys_, w)
         # f_of_alpha's two routes agree only if |q| * |alpha(q) - alpha| << 1e-8
         if abs(val - alpha) <= 1e-12:
-            return mid
-        if val > alpha:
-            lo = mid
-        else:
-            hi = mid
+            return q
+        lo, hi = (q, hi) if val > alpha else (lo, q)
+        x = sys_.log_probs - val * sys_.log_ratios
+        slope = float(w @ (x * x)) / float(w @ sys_.log_ratios)
+        q = q - (val - alpha) / slope if slope < 0.0 else math.nan
+        if not lo < q < hi:
+            q = 0.5 * (lo + hi)
+            if not lo < q < hi:
+                return q  # bracket exhausted at float resolution
+    raise BracketError(f"Newton in q for alpha={alpha} did not settle "
+                       f"in {NEWTON_CAP} steps")
 
 
 def _entropy_quotient(sys_: WeightedSystem, w: np.ndarray) -> float:
@@ -154,16 +149,12 @@ def f_of_alpha(sys_: WeightedSystem, alpha: float) -> float:
 
 def f_bar(sys_: WeightedSystem, alpha: float) -> float:
     """Upper envelope: f(alpha) up to alpha(0), then the constant tau(0)."""
-    amin, amax = alpha_bounds(sys_)
-    if sys_.degenerate:
-        return f_of_alpha(sys_, alpha)
-    edge = 1e-9 * max(1.0, abs(amax))
-    if alpha < amin - edge or alpha > amax + edge:
-        raise DomainError(f"alpha={alpha} outside [{amin}, {amax}]")
-    tau0, w0 = _tilt(sys_, 0.0)
-    if alpha > _alpha_from_weights(sys_, w0):
-        return tau0
-    return f_of_alpha(sys_, alpha)
+    amax = alpha_bounds(sys_)[1]
+    if not sys_.degenerate and alpha <= amax + 1e-9 * max(1.0, abs(amax)):
+        tau0, w0 = _tilt(sys_, 0.0)
+        if alpha > _alpha_from_weights(sys_, w0):
+            return tau0
+    return f_of_alpha(sys_, alpha)  # raises DomainError outside the range
 
 
 def default_q_grid() -> np.ndarray:

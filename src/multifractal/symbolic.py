@@ -56,7 +56,6 @@ WALK_BLOCK = 1024
 # are scanned in batches that fit, one length at a time for longer words.
 # Larger buffers scan a little faster but raise the resident set.
 SCAN_CELLS = 1 << 14
-M_SCAN_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -478,15 +477,19 @@ def moran_construct(sys_: WeightedSystem, alpha: float, eps: float, n: int,
     _, lr = word_log_arrays(sys_, spine)
     spine_log_r = np.cumsum(lr)
     log_counts, log_rs = gamma.log_terms
-    gain = logsumexp(log_counts + s * log_rs)  # > 0 by the guard above
+    gain = logsumexp(log_counts + s * log_rs)  # > 0 unless rounding ate it
     ms = []
     for k in range(1, stages + 1):
+        # least m >= 1 with m * gain + penalty > 0; the test is monotone in m
         penalty = s * float(spine_log_r[k * n - 1])
-        m_k = 1
+        quotient = -penalty / gain if gain > 0.0 else math.inf
+        if not quotient <= 2.0 ** 53:
+            raise BudgetError(f"stage {k} would need {quotient:.3g} blocks")
+        m_k = math.floor(max(quotient, 0.0)) + 1
+        while m_k > 1 and (m_k - 1) * gain + penalty > 0.0:
+            m_k -= 1
         while m_k * gain + penalty <= 0.0:
             m_k += 1
-            if m_k > M_SCAN_CAP:
-                raise BudgetError(f"stage length exceeded {M_SCAN_CAP}")
         ms.append(m_k)
     growth = max(m / k for k, m in enumerate(ms, start=1))
     return MoranSpec(sys_, n, alpha, eps, s, gamma, spine, tuple(ms), growth)

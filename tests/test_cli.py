@@ -255,6 +255,14 @@ class TestScanCommands:
         row = out.splitlines()[1].split(",")
         assert float(row[1]) == pytest.approx(math.log2(3.0), abs=1e-12)
 
+    def test_pair_budget_flag_is_gone(self, capsys, s1_path):
+        # a ratio >= 2 grid in (0, 1] has at most 1,075 scales, so every
+        # pair is scanned; the flag had nothing to cap
+        code, out, err = run_cli(capsys, ["assouad-scan", "-s", s1_path,
+                                          "-x", "0.0", "--pair-budget", "5"])
+        assert code == 2 and out == ""
+        assert err.startswith("UsageError: unrecognized arguments")
+
 
 class TestWordCommands:
     def test_greedy_word(self, capsys, s1_path):
@@ -317,6 +325,26 @@ class TestJsonCommands:
                                "--depth-cap", "100000000000000000000"])
         assert res.returncode == 0 and res.stderr == ""
         assert json.loads(res.stdout)["found"] is False
+
+    @pytest.mark.parametrize("system,argv", [
+        (None, ["--n-target", "1e308", "--depth-cap", "2000"]),
+        ({"probs": [0.4999999, 0.5000001], "ratios": [0.5, 0.5],
+          "translations": [0.0, 0.5]},
+         ["--n-target", "1e300", "--depth-cap", "100000000000000000000"]),
+    ])
+    def test_witness_out_of_float_range_is_one_line(self, tmp_path, s1_path,
+                                                    system, argv):
+        # the first: a mass ratio past float max at depth 1025 (it raised
+        # OverflowError); the second: cylinders that underflow near depth
+        # 1.7e9 (it walked there level by level)
+        path = s1_path
+        if system is not None:
+            path = str(tmp_path / "tiny_step.json")
+            (tmp_path / "tiny_step.json").write_text(json.dumps(system))
+        res = run_cli_process(["witness", "-s", path, *argv])
+        assert res.returncode == 1 and res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("DomainError: ")
 
     def test_moran_spec_schema(self, capsys, s1_path):
         code, out, _ = run_cli(capsys, ["moran", "-s", s1_path, "--alpha", "1.0",

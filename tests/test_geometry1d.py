@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multifractal import (
     DomainError,
@@ -305,7 +307,103 @@ class TestAssouadScan:
             assouad_scan(s1, 0.3, scales, min_ratio=bad)
 
 
+def witness_seeds(sys_):
+    """(i, j) chains hugging each shared point of neighbouring hulls."""
+    tol = 1e-12
+    order = sorted(range(sys_.m), key=lambda i: sys_.translations[i])
+    lefts = [i + 1 for i in range(sys_.m) if abs(sys_.translations[i]) <= tol]
+    rights = [i + 1 for i in range(sys_.m)
+              if abs(sys_.translations[i] + sys_.ratios[i] - 1.0) <= tol]
+    if not lefts or not rights:
+        return []
+    left, right = lefts[-1], rights[-1]
+    seeds = []
+    for a, b in zip(order, order[1:]):
+        if abs(sys_.translations[a] + sys_.ratios[a]
+               - sys_.translations[b]) <= tol:
+            seeds += [((a + 1, right), (b + 1, left)),
+                      ((b + 1, left), (a + 1, right))]
+    return seeds
+
+
+def seed_log_ratio(sys_, seed, k):
+    (i0, i1), (j0, j1) = seed
+    lp = sys_.log_probs
+    return (lp[j0 - 1] - lp[i0 - 1]) + k * (lp[j1 - 1] - lp[i1 - 1])
+
+
+def walking_witness(sys_, n_target, depth_cap):
+    """The witness search tried at every depth from 0, as the oracle.
+
+    Returns (i, j, mass_ratio, gap) of the first pair found, or None.
+    """
+    seeds = witness_seeds(sys_)
+    for k in range(depth_cap):
+        for seed in seeds:
+            log_ratio = seed_log_ratio(sys_, seed, k)
+            if log_ratio < math.log(n_target) - 1e-12:
+                continue
+            (i0, i1), (j0, j1) = seed
+            wi, wj = Word([i0] + [i1] * k), Word([j0] + [j1] * k)
+            lo_i, hi_i = cylinder_interval(sys_, wi)
+            lo_j, hi_j = cylinder_interval(sys_, wj)
+            if hi_i < lo_j:
+                gap = lo_j - hi_i
+            elif hi_j < lo_i:
+                gap = lo_i - hi_j
+            else:
+                gap = 0.0
+            if gap <= word_stats(sys_, wi).r:
+                return str(wi), str(wj), math.exp(log_ratio), gap
+    return None
+
+
+@st.composite
+def touching_systems(draw):
+    """Systems on a grid of 1/total, with a shared point or a gap between
+    neighbours, and both ends of [0, 1] touched or not."""
+    m = draw(st.integers(2, 4))
+    widths = draw(st.lists(st.integers(1, 12), min_size=m, max_size=m))
+    gaps = draw(st.lists(st.sampled_from([0, 0, 0, 1, 3]),
+                         min_size=m + 1, max_size=m + 1))
+    weights = draw(st.lists(st.integers(1, 50), min_size=m, max_size=m))
+    total = sum(widths) + sum(gaps)
+    ts, at = [], gaps[0]
+    for w, g in zip(widths, gaps[1:]):
+        ts.append(at / total)
+        at += w + g
+    probs = [w / sum(weights) for w in weights]
+    probs[-1] = 1.0 - math.fsum(probs[:-1])
+    return load_system({"probs": probs, "ratios": [w / total for w in widths],
+                        "translations": ts})
+
+
 class TestWitness:
+    @given(sys_=touching_systems(), log_target=st.floats(-1.0, 25.0),
+           depth_cap=st.integers(1, 60), seed_index=st.integers(0, 5),
+           k=st.integers(0, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_depth_by_depth_walk(self, sys_, log_target,
+                                             depth_cap, seed_index, k):
+        seeds = witness_seeds(sys_)
+        n_target = math.exp(log_target)
+        if seed_index < len(seeds):  # a seed's own ratio at depth k
+            n_target = math.exp(seed_log_ratio(sys_, seeds[seed_index], k))
+        want = walking_witness(sys_, n_target, depth_cap)
+        got = non_doubling_witness(sys_, n_target, depth_cap)
+        assert (None if got is None else
+                (str(got.i), str(got.j), got.mass_ratio, got.gap)) == want
+
+    def test_overflowing_mass_ratio_is_a_domain_error(self, s1):
+        with pytest.raises(DomainError, match="overflows"):
+            non_doubling_witness(s1, 1e308, depth_cap=2000)
+
+    def test_underflowing_cylinder_is_refused_before_any_word(self):
+        sys_ = load_system({"probs": [0.4999999, 0.5000001],
+                            "ratios": [0.5, 0.5], "translations": [0.0, 0.5]})
+        with pytest.raises(DomainError, match="underflows"):
+            non_doubling_witness(sys_, 1e300, depth_cap=10 ** 20)
+
     def test_target_four(self, s1):
         w = non_doubling_witness(s1, 4.0)
         assert str(w.i) == "2111" and str(w.j) == "1222"

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multifractal import (
@@ -194,6 +194,32 @@ class TestQOfAlpha:
         assert q_of_alpha(uniform2, 1.0) == 0.0
         with pytest.raises(DomainError):
             q_of_alpha(uniform2, 1.2)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           where=st.sampled_from(["inside", "near_lo", "near_hi"]),
+           u=st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_hits_alpha_within_tolerance(self, seed, where, u):
+        s = make_random_system(np.random.default_rng(seed))
+        lo, hi = alpha_bounds(s)
+        alpha = {"inside": lo + u * (hi - lo), "near_lo": lo + u * 1e-12,
+                 "near_hi": hi - u * 1e-12}[where]
+        assume(lo < alpha < hi)
+        assert abs(alpha_of_q(s, q_of_alpha(s, alpha)) - alpha) <= 1e-12
+
+    def test_few_tilts_per_inversion(self, s1, monkeypatch):
+        calls = []
+
+        def counted(sys_, q, tilt=spectrum._tilt):
+            calls.append(q)
+            return tilt(sys_, q)
+
+        monkeypatch.setattr(spectrum, "_tilt", counted)
+        lo, hi = alpha_bounds(s1)
+        for u in np.linspace(0.02, 0.98, 49):
+            calls.clear()
+            q_of_alpha(s1, lo + u * (hi - lo))
+            assert len(calls) <= 12, u
 
 
 class TestSpectrum:

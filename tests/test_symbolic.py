@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multifractal import (
+    BudgetError,
     DenominatorError,
     DomainError,
     EmptyAlphabetError,
@@ -42,7 +43,12 @@ from multifractal import (
 )
 from multifractal import symbolic
 from multifractal.symbolic import _compositions, _multinomial
-from multifractal.system import WeightedSystem, alpha_bounds, word_log_arrays
+from multifractal.system import (
+    WeightedSystem,
+    alpha_bounds,
+    logsumexp,
+    word_log_arrays,
+)
 
 from conftest import make_random_system
 
@@ -641,6 +647,38 @@ class TestMoran:
             assert m_k * gain + penalty > 0.0
             if m_k > 1:
                 assert (m_k - 1) * gain + penalty <= 0.0
+
+    @pytest.mark.parametrize("name,u,eps,n", [
+        ("S1", 0.6, 0.05, 16), ("S1", 0.7, 0.01, 64), ("S1", 0.4, 0.1, 128),
+        ("M3", 0.5, 0.2, 24), ("M4", 0.5, 0.3, 16)])
+    def test_stage_lengths_match_the_scan(self, s1, name, u, eps, n):
+        # the scan from m = 1 on the library's own floats is the oracle
+        sys_ = {"S1": s1, "M3": M3, "M4": M4}[name]
+        a_lo, a_hi = alpha_bounds(sys_)
+        spec = moran_construct(sys_, a_lo + u * (a_hi - a_lo), eps, n)
+        log_counts, log_rs = spec.blocks.log_terms
+        gain = logsumexp(log_counts + spec.s * log_rs)
+        _, lr = word_log_arrays(sys_, spec.spine)
+        spine_log_r = np.cumsum(lr)
+        for k, m_k in enumerate(spec.stage_lengths, start=1):
+            penalty = spec.s * float(spine_log_r[k * n - 1])
+            m = 1
+            while m * gain + penalty <= 0.0:
+                m += 1
+            assert m_k == m, k
+
+    def test_tiny_epsilon_needs_long_stages(self, s1):
+        # a scan capped at 10^6 blocks per stage refused this construction
+        spec = moran_construct(s1, 1.2, 1e-5, 2000, 20)
+        assert spec.stage_lengths[-1] == 1_999_980
+        assert spec.stage_lengths == tuple(sorted(spec.stage_lengths))
+
+    @pytest.mark.parametrize("gain", [0.0, -1.0, 1e-300])
+    def test_hopeless_gain_is_a_budget_error(self, s1, monkeypatch, gain):
+        # no ZeroDivisionError or OverflowError from the closed form
+        monkeypatch.setattr(symbolic, "logsumexp", lambda a: gain)
+        with pytest.raises(BudgetError):
+            moran_construct(s1, 1.2, 0.05, 16)
 
     def test_stage_root_identity(self, s1):
         spec = moran_construct(s1, 1.2, 0.05, 16)
