@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 computational error (reported as "ErrorName: cause"
 on stderr), 2 usage error. Output is byte-stable for a fixed config.
+
+Each subcommand is declared once, in `_build_parser`: its handler, its
+output formats, and its arguments, whose argparse types parse and check
+each value, so handlers receive numbers, arrays and tuples.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,18 +35,8 @@ from .symbolic import (
 from .system import Word, load_system, word_stats
 from .tables import emit_object, emit_table
 
-_JSON_ONLY = {"moran", "witness"}
 # largest grid count, word or spine length taken from argv, before allocation
 MAX_COUNT = 10 ** 7
-
-
-@dataclass
-class RunConfig:
-    command: str
-    system_path: str
-    params: argparse.Namespace
-    output: str | None
-    format: str
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,7 +54,9 @@ def parse_linear_grid(spec: str) -> np.ndarray:
         raise UsageError(f"bad grid {spec!r}: {exc}") from exc
     if not 0 <= count <= MAX_COUNT:
         raise UsageError(f"grid count must lie in [0, {MAX_COUNT}]")
-    return np.linspace(lo, hi, count)
+    # an infinite end or span leaves a NaN in the grid; solve_tau refuses it
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.linspace(lo, hi, count)
 
 
 _SCALE_RE = re.compile(
@@ -85,145 +80,122 @@ def parse_scale_grid(spec: str) -> np.ndarray:
         raise UsageError(f"bad scale grid {spec!r}: {exc}") from exc
 
 
+def _checked(kind, test, rule):
+    """An argparse type: kind(text), refused unless test(value) holds.
+
+    Tests are one-sided where NaN must pass on to the library's own
+    DomainError: "positive" refuses v <= 0, not everything but v > 0.
+    """
+    def convert(text):
+        value = kind(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"{text!r} must be {rule}")
+        return value
+    convert.__name__ = kind.__name__  # argparse names it in "invalid ... value"
+    return convert
+
+
+_POSITIVE = _checked(float, lambda v: not v <= 0, "positive")
+_COUNT = _checked(int, lambda v: v >= 1, "a positive integer")
+_LENGTH = _checked(int, lambda v: 1 <= v <= MAX_COUNT, f"in [1, {MAX_COUNT}]")
+
+
+def _window_range(spec: str) -> tuple[int, int]:
+    lo, hi = (int(v) for v in spec.split(":"))  # ValueError unless two ints
+    if not 1 <= lo <= hi:
+        raise argparse.ArgumentTypeError("windows must satisfy 1 <= n_lo <= n_hi")
+    return lo, hi
+
+
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-s", "--system", required=True,
                         help="path to a system JSON file")
     common.add_argument("-o", "--output", default=None,
                         help="output path (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default=None)
 
     parser = _Parser(prog="multifractal",
                      description="multifractal spectra, symbolic estimators, "
                                  "and rigorous 1D ball-measure scans")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", parents=[common],
-                       help="tabulate q, tau, alpha, f, f_bar over a q grid")
-    p.add_argument("--q-grid", default="-10:10:201", help="lo:hi:count")
+    def command(name, run, help, formats=("csv", "json")):
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.add_argument("--format", choices=formats, default=formats[0])
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("assouad-word", parents=[common],
-                       help="sliding-window Assouad estimate along a word")
-    p.add_argument("--word", required=True,
+    p = command("spectrum", _run_spectrum,
+                "tabulate q, tau, alpha, f, f_bar over a q grid")
+    p.add_argument("--q-grid", type=parse_linear_grid, default="-10:10:201",
+                   help="lo:hi:count")
+
+    p = command("assouad-word", _run_assouad_word,
+                "sliding-window Assouad estimate along a word")
+    p.add_argument("--word", type=_checked(str, bool, "nonempty"),
+                   required=True,
                    help="digit string; repeated periodically if --length "
                         "exceeds it")
-    p.add_argument("--length", type=int, default=None)
-    p.add_argument("--windows", default="100:1000",
+    p.add_argument("--length", type=_LENGTH, default=None)
+    p.add_argument("--windows", type=_window_range, default="100:1000",
                    help="window length range n_lo:n_hi")
     p.add_argument("--per-window", action="store_true",
                    help="emit one row per window length instead of a summary")
 
-    p = sub.add_parser("greedy", parents=[common],
-                       help="construct the word chasing a target exponent")
+    p = command("greedy", _run_greedy,
+                "construct the word chasing a target exponent")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--length", type=int, default=1000)
+    p.add_argument("--length", type=_LENGTH, default=1000)
 
-    p = sub.add_parser("moran", parents=[common],
-                       help="interleaved Moran construction and stage dimensions")
+    p = command("moran", _run_moran,
+                "interleaved Moran construction and stage dimensions",
+                formats=("json",))
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--n", type=int, required=True, help="block length")
-    p.add_argument("--stages", type=int, default=20)
+    p.add_argument("--epsilon", type=_POSITIVE, required=True)
+    p.add_argument("--n", type=_COUNT, required=True, help="block length")
+    p.add_argument("--stages", type=_COUNT, default=20)
 
-    p = sub.add_parser("ball", parents=[common],
-                       help="rigorous enclosure of mu(B(x, r))")
+    p = command("ball", _run_ball, "rigorous enclosure of mu(B(x, r))")
     p.add_argument("-x", type=float, required=True)
-    p.add_argument("-r", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--depth-cap", type=int, default=None)
+    p.add_argument("-r", type=_POSITIVE, required=True)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-12)
+    p.add_argument("--depth-cap", type=_COUNT, default=None)
 
-    p = sub.add_parser("doubling-scan", parents=[common],
-                       help="doubling-ratio intervals over a scale grid")
+    p = command("doubling-scan", _run_doubling_scan,
+                "doubling-ratio intervals over a scale grid")
     p.add_argument("-x", type=float, required=True)
-    p.add_argument("--gamma", type=float, default=2.0)
-    p.add_argument("--scales", default="2^(-k), k=1..40")
-    p.add_argument("--rel-tol", type=float, default=1e-9)
+    p.add_argument("--gamma", type=_checked(float, lambda v: not v <= 1,
+                                            "above 1"), default=2.0)
+    p.add_argument("--scales", type=parse_scale_grid,
+                   default="2^(-k), k=1..40")
+    p.add_argument("--rel-tol", type=_POSITIVE, default=1e-9)
 
-    p = sub.add_parser("assouad-scan", parents=[common],
-                       help="certified pointwise Assouad lower bound at x")
+    p = command("assouad-scan", _run_assouad_scan,
+                "certified pointwise Assouad lower bound at x")
     p.add_argument("-x", type=float, required=True)
-    p.add_argument("--scales", default="2^(-k), k=1..40")
-    p.add_argument("--min-ratio", type=float, default=4.0)
-    p.add_argument("--rel-tol", type=float, default=1e-9)
+    p.add_argument("--scales", type=parse_scale_grid,
+                   default="2^(-k), k=1..40")
+    p.add_argument("--min-ratio", type=_checked(float, lambda v: not v < 1,
+                                                "at least 1"), default=4.0)
+    p.add_argument("--rel-tol", type=_POSITIVE, default=1e-9)
 
-    p = sub.add_parser("witness", parents=[common],
-                       help="search for a non-doubling witness pair")
-    p.add_argument("--n-target", type=float, required=True)
-    p.add_argument("--depth-cap", type=int, default=32)
+    p = command("witness", _run_witness,
+                "search for a non-doubling witness pair", formats=("json",))
+    p.add_argument("--n-target", type=_POSITIVE, required=True)
+    p.add_argument("--depth-cap", type=_COUNT, default=32)
 
-    p = sub.add_parser("abundance", parents=[common],
-                       help="finite-n abundance diagnostics for a tail word")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p = command("abundance", _run_abundance,
+                "finite-n abundance diagnostics for a tail word")
+    p.add_argument("--n", type=_COUNT, required=True)
+    p.add_argument("--delta", type=_checked(float, lambda v: 0 < v <= 1,
+                                            "in (0, 1]"), required=True)
     p.add_argument("--kappa", default="12")
 
     return parser
 
 
-def _check_domains(ns: argparse.Namespace) -> None:
-    cmd = ns.command
-
-    def bad(msg):
-        raise UsageError(msg)
-
-    if (getattr(ns, "length", None) or 0) > MAX_COUNT:
-        bad(f"length must not exceed {MAX_COUNT}")
-    if cmd == "spectrum":
-        parse_linear_grid(ns.q_grid)
-    elif cmd == "assouad-word":
-        if not ns.word:
-            bad("word must be nonempty")
-        if ns.length is not None and ns.length < 1:
-            bad("length must be positive")
-        lo_hi = ns.windows.split(":")
-        if len(lo_hi) != 2:
-            bad("windows must be n_lo:n_hi")
-        try:
-            lo, hi = int(lo_hi[0]), int(lo_hi[1])
-        except ValueError:
-            bad("windows must be integers")
-        if lo < 1 or hi < lo:
-            bad("window range must satisfy 1 <= n_lo <= n_hi")
-    elif cmd == "greedy":
-        if ns.length < 1:
-            bad("length must be positive")
-    elif cmd == "moran":
-        if ns.epsilon <= 0:
-            bad("epsilon must be positive")
-        if ns.n < 1 or ns.stages < 1:
-            bad("n and stages must be positive")
-        if ns.n * ns.stages > MAX_COUNT:
-            bad(f"the spine, n * stages letters, must not exceed {MAX_COUNT}")
-    elif cmd == "ball":
-        if ns.r <= 0 or ns.tol <= 0:
-            bad("r and tol must be positive")
-        if ns.depth_cap is not None and ns.depth_cap < 1:
-            bad("depth-cap must be positive")
-    elif cmd == "doubling-scan":
-        if ns.gamma <= 1:
-            bad("gamma must exceed 1")
-        if ns.rel_tol <= 0:
-            bad("rel-tol must be positive")
-        parse_scale_grid(ns.scales)
-    elif cmd == "assouad-scan":
-        if ns.min_ratio < 1:
-            bad("min-ratio must be at least 1")
-        if ns.rel_tol <= 0:
-            bad("rel-tol must be positive")
-        parse_scale_grid(ns.scales)
-    elif cmd == "witness":
-        if ns.n_target <= 0:
-            bad("n-target must be positive")
-        if ns.depth_cap < 1:
-            bad("depth-cap must be positive")
-    elif cmd == "abundance":
-        if ns.n < 1:
-            bad("n must be positive")
-        if not 0 < ns.delta <= 1:
-            bad("delta must lie in (0, 1]")
-
-
-def parse_config(argv) -> RunConfig:
+def parse_config(argv) -> argparse.Namespace:
+    """Parsed and checked argv; `run` is the subcommand's handler."""
     argv = list(argv)
     # argparse mistakes a leading-minus grid value for a flag; join with '='
     joined = []
@@ -239,123 +211,91 @@ def parse_config(argv) -> RunConfig:
     ns = _build_parser().parse_args(joined)
     if not os.path.isfile(ns.system):
         raise UsageError(f"system file {ns.system!r} not found")
-    fmt = ns.format
-    if ns.command in _JSON_ONLY:
-        if fmt == "csv":
-            raise UsageError(f"{ns.command} emits JSON only")
-        fmt = "json"
-    elif fmt is None:
-        fmt = "csv"
-    _check_domains(ns)
-    return RunConfig(ns.command, ns.system, ns, ns.output, fmt)
+    if ns.command == "moran" and ns.n * ns.stages > MAX_COUNT:
+        raise UsageError(
+            f"the spine, n * stages letters, must not exceed {MAX_COUNT}")
+    return ns
 
 
-def _run_spectrum(sys_, config):
-    qs = parse_linear_grid(config.params.q_grid)
-    table = spectrum_table(sys_, qs)
-    emit_table(table.as_records(), config.format, config.output,
+def _run_spectrum(sys_, ns):
+    table = spectrum_table(sys_, ns.q_grid)
+    emit_table(table.as_records(), ns.format, ns.output,
                header=["q", "tau", "alpha", "f", "f_bar"])
 
 
-def _run_assouad_word(sys_, config):
-    ns = config.params
+def _run_assouad_word(sys_, ns):
     word = Word.from_string(ns.word)
     if ns.length is not None and ns.length > len(word):
         word = Word.periodic(word, ns.length)
-    lo, hi = (int(v) for v in ns.windows.split(":"))
-    est = assouad_estimate(sys_, word, (lo, hi))
+    est = assouad_estimate(sys_, word, ns.windows)
     if ns.per_window:
         rows = [{"n": int(n), "sup_ratio": float(s)}
                 for n, s in zip(est.ns, est.per_n_sup)]
-        emit_table(rows, config.format, config.output)
+        emit_table(rows, ns.format, ns.output)
     else:
+        lo, hi = ns.windows
         emit_table([{"length": len(word), "window_lo": lo, "window_hi": hi,
-                     "estimate": est.estimate}], config.format, config.output)
+                     "estimate": est.estimate}], ns.format, ns.output)
 
 
-def _run_greedy(sys_, config):
-    ns = config.params
+def _run_greedy(sys_, ns):
     word = greedy_word(sys_, ns.alpha, ns.length)
     stats = word_stats(sys_, word)
     emit_table([{"alpha": ns.alpha, "length": len(word), "word": str(word),
-                 "prefix_ratio": stats.ratio}], config.format, config.output)
+                 "prefix_ratio": stats.ratio}], ns.format, ns.output)
 
 
-def _run_moran(sys_, config):
-    ns = config.params
+def _run_moran(sys_, ns):
     spec = moran_construct(sys_, ns.alpha, ns.epsilon, ns.n, ns.stages)
     obj = spec.to_json_dict()
     obj["s_k"] = [moran_dimension(spec, k) for k in range(1, ns.stages + 1)]
-    emit_object(obj, config.output)
+    emit_object(obj, ns.output)
 
 
-def _run_ball(sys_, config):
-    ns = config.params
+def _run_ball(sys_, ns):
     b = ball_measure(sys_, ns.x, ns.r, ns.tol, ns.depth_cap)
     emit_table([{"x": ns.x, "r": ns.r, "lower": b.lower, "upper": b.upper,
                  "depth_used": b.depth_used,
-                 "straddle_mass": b.straddle_mass}],
-               config.format, config.output)
+                 "straddle_mass": b.straddle_mass}], ns.format, ns.output)
 
 
-def _run_doubling_scan(sys_, config):
-    ns = config.params
-    scan = doubling_scan(sys_, ns.x, ns.gamma, parse_scale_grid(ns.scales),
-                         rel_tol=ns.rel_tol)
+def _run_doubling_scan(sys_, ns):
+    scan = doubling_scan(sys_, ns.x, ns.gamma, ns.scales, rel_tol=ns.rel_tol)
     rows = [{"r": row.r, "lower": row.lower, "upper": row.upper,
              "ratio_lower": row.ratio_lower, "ratio_upper": row.ratio_upper}
             for row in scan.rows]
-    emit_table(rows, config.format, config.output,
+    emit_table(rows, ns.format, ns.output,
                header=["r", "lower", "upper", "ratio_lower", "ratio_upper"])
 
 
-def _run_assouad_scan(sys_, config):
-    ns = config.params
-    scales = parse_scale_grid(ns.scales)
-    value = assouad_scan(sys_, ns.x, scales, min_ratio=ns.min_ratio,
+def _run_assouad_scan(sys_, ns):
+    value = assouad_scan(sys_, ns.x, ns.scales, min_ratio=ns.min_ratio,
                          rel_tol=ns.rel_tol)
-    emit_table([{"x": ns.x, "estimate": value, "n_scales": len(scales)}],
-               config.format, config.output)
+    emit_table([{"x": ns.x, "estimate": value, "n_scales": len(ns.scales)}],
+               ns.format, ns.output)
 
 
-def _run_witness(sys_, config):
-    ns = config.params
+def _run_witness(sys_, ns):
     pair = non_doubling_witness(sys_, ns.n_target, ns.depth_cap)
     if pair is None:
         emit_object({"found": False, "n_target": ns.n_target,
-                     "depth_cap": ns.depth_cap}, config.output)
+                     "depth_cap": ns.depth_cap}, ns.output)
     else:
         obj = {"found": True, "n_target": ns.n_target}
         obj.update(pair.to_json_dict(sys_))
-        emit_object(obj, config.output)
+        emit_object(obj, ns.output)
 
 
-def _run_abundance(sys_, config):
-    ns = config.params
+def _run_abundance(sys_, ns):
     rep = abundance_report(sys_, ns.n, ns.delta, ns.kappa or None)
     emit_table([{"n": rep.n, "delta": rep.delta, "kappa": rep.kappa,
                  "a1_min_ratio": rep.a1_min_ratio,
-                 "a2_delta_dense": rep.a2_delta_dense}],
-               config.format, config.output)
+                 "a2_delta_dense": rep.a2_delta_dense}], ns.format, ns.output)
 
 
-_HANDLERS = {
-    "spectrum": _run_spectrum,
-    "assouad-word": _run_assouad_word,
-    "greedy": _run_greedy,
-    "moran": _run_moran,
-    "ball": _run_ball,
-    "doubling-scan": _run_doubling_scan,
-    "assouad-scan": _run_assouad_scan,
-    "witness": _run_witness,
-    "abundance": _run_abundance,
-}
-
-
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     try:
-        sys_ = load_system(config.system_path)
-        _HANDLERS[config.command](sys_, config)
+        config.run(load_system(config.system), config)
         return 0
     except UsageError as exc:
         print(f"UsageError: {exc}", file=sys.stderr)

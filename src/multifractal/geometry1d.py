@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetError, DomainError, EmptyWordError, NoGeometryError
-from .system import WeightedSystem, Word, word_stats
+from .system import GEOM_TOL, WeightedSystem, Word, word_stats
 
 NODE_BUDGET = 10_000_000
-_TOUCH_TOL = 1e-12
 
 
 def _require_geometry(sys_: WeightedSystem) -> None:
@@ -256,9 +255,9 @@ def _edge_symbols(sys_: WeightedSystem) -> tuple[int | None, int | None]:
     """Symbols whose intervals touch 0 and 1 in unit coordinates, if any."""
     left = right = None
     for i in range(sys_.m):
-        if abs(sys_.translations[i]) <= _TOUCH_TOL:
+        if abs(sys_.translations[i]) <= GEOM_TOL:
             left = i + 1
-        if abs(sys_.translations[i] + sys_.ratios[i] - 1.0) <= _TOUCH_TOL:
+        if abs(sys_.translations[i] + sys_.ratios[i] - 1.0) <= GEOM_TOL:
             right = i + 1
     return left, right
 
@@ -280,7 +279,7 @@ def non_doubling_witness(sys_: WeightedSystem, n_target: float,
     seeds = []  # chains hugging each shared point, from either side
     for a, b in zip(order, order[1:]):
         hi_a = sys_.translations[a] + sys_.ratios[a]
-        if abs(hi_a - sys_.translations[b]) <= _TOUCH_TOL \
+        if abs(hi_a - sys_.translations[b]) <= GEOM_TOL \
                 and None not in (left_edge, right_edge):
             seeds += [((a + 1, right_edge), (b + 1, left_edge)),
                       ((b + 1, left_edge), (a + 1, right_edge))]
@@ -350,7 +349,7 @@ def coding_of(sys_: WeightedSystem, x: float, depth: int) -> Word:
     for _ in range(depth):
         for i in order:
             t, r = sys_.translations[i], sys_.ratios[i]
-            if t - _TOUCH_TOL <= x <= t + r + _TOUCH_TOL:
+            if t - GEOM_TOL <= x <= t + r + GEOM_TOL:
                 symbols.append(i + 1)
                 x = min(1.0, max(0.0, (x - t) / r))
                 break

@@ -413,7 +413,11 @@ def greedy_word(sys_: WeightedSystem, alpha: float, length: int) -> Word:
 
 @dataclass(frozen=True)
 class MoranSpec:
-    """One interleaved Moran construction: blocks, spine, and stage lengths."""
+    """One interleaved Moran construction: blocks, spine, and stage lengths.
+
+    Stage k covers the spine's first k n letters with m_1 + ... + m_k
+    blocks; each stage quantity below is computed once, on first use.
+    """
 
     system: WeightedSystem
     n: int
@@ -422,8 +426,42 @@ class MoranSpec:
     s: float
     blocks: BlockAlphabet
     spine: Word
-    stage_lengths: tuple[int, ...]
-    growth_constant: float
+
+    @cached_property
+    def stage_log_r(self) -> np.ndarray:
+        """log r of the spine's first k n letters, for k = 1..stages."""
+        _, lr = word_log_arrays(self.system, self.spine)
+        return np.cumsum(lr)[self.n - 1::self.n].copy()
+
+    @cached_property
+    def stage_lengths(self) -> tuple[int, ...]:
+        """Least m_k >= 1 with m_k * gain + s * stage_log_r[k] > 0."""
+        log_counts, log_rs = self.blocks.log_terms
+        gain = logsumexp(log_counts + self.s * log_rs)  # > 0 unless rounding ate it
+        ms = []
+        for k, log_r in enumerate(self.stage_log_r, start=1):
+            # the test is monotone in m
+            penalty = self.s * float(log_r)
+            quotient = -penalty / gain if gain > 0.0 else math.inf
+            if not quotient <= 2.0 ** 53:
+                raise BudgetError(f"stage {k} would need {quotient:.3g} blocks")
+            m_k = math.floor(max(quotient, 0.0)) + 1
+            while m_k > 1 and (m_k - 1) * gain + penalty > 0.0:
+                m_k -= 1
+            while m_k * gain + penalty <= 0.0:
+                m_k += 1
+            ms.append(m_k)
+        return tuple(ms)
+
+    @cached_property
+    def growth_constant(self) -> float:
+        return max(m / k for k, m in enumerate(self.stage_lengths, start=1))
+
+    @cached_property
+    def stage_totals(self) -> tuple[list[int], np.ndarray]:
+        """Running sums of stage_lengths and of stage_log_r."""
+        return (list(itertools.accumulate(self.stage_lengths)),
+                np.cumsum(self.stage_log_r))
 
     def to_json_dict(self) -> dict:
         return {
@@ -443,7 +481,8 @@ def moran_construct(sys_: WeightedSystem, alpha: float, eps: float, n: int,
 
     Requires the filtered block alphabet at length n to carry dimension
     above f_bar(alpha) - eps/2; otherwise NeedLargerN reports what length n
-    actually achieved.
+    actually achieved. A stage that would need more than 2^53 blocks raises
+    BudgetError.
 
     The spine is the greedy word of `stages` letters, each repeated n times:
     n cancels in the running exponent, so this is the chase over the blocks
@@ -472,27 +511,10 @@ def moran_construct(sys_: WeightedSystem, alpha: float, eps: float, n: int,
         raise NeedLargerN(
             f"blocks of length {n} reach dimension {achieved:.6f}, "
             f"need > {required:.6f}", achieved=achieved, required=required)
-    s = fb - eps
     spine = Word(np.repeat(greedy_word(sys_, alpha, stages).symbols, n))
-    _, lr = word_log_arrays(sys_, spine)
-    spine_log_r = np.cumsum(lr)
-    log_counts, log_rs = gamma.log_terms
-    gain = logsumexp(log_counts + s * log_rs)  # > 0 unless rounding ate it
-    ms = []
-    for k in range(1, stages + 1):
-        # least m >= 1 with m * gain + penalty > 0; the test is monotone in m
-        penalty = s * float(spine_log_r[k * n - 1])
-        quotient = -penalty / gain if gain > 0.0 else math.inf
-        if not quotient <= 2.0 ** 53:
-            raise BudgetError(f"stage {k} would need {quotient:.3g} blocks")
-        m_k = math.floor(max(quotient, 0.0)) + 1
-        while m_k > 1 and (m_k - 1) * gain + penalty > 0.0:
-            m_k -= 1
-        while m_k * gain + penalty <= 0.0:
-            m_k += 1
-        ms.append(m_k)
-    growth = max(m / k for k, m in enumerate(ms, start=1))
-    return MoranSpec(sys_, n, alpha, eps, s, gamma, spine, tuple(ms), growth)
+    spec = MoranSpec(sys_, n, alpha, eps, fb - eps, gamma, spine)
+    spec.stage_lengths  # raises any BudgetError here, not on first use
+    return spec
 
 
 def moran_dimension(spec: MoranSpec, k: int) -> float:
@@ -504,12 +526,9 @@ def moran_dimension(spec: MoranSpec, k: int) -> float:
     if not (1 <= k <= len(spec.stage_lengths)):
         raise DomainError(f"stage {k} outside 1..{len(spec.stage_lengths)}")
     log_counts, log_rs = spec.blocks.log_terms
-    _, lr = word_log_arrays(spec.system, spec.spine)
-    spine_log_r = np.cumsum(lr)
-    m_total = sum(spec.stage_lengths[:k])
-    spine_total = float(sum(spine_log_r[j * spec.n - 1]
-                            for j in range(1, k + 1)))
-    return lse_root(log_counts, log_rs, 0.0, spine_total / m_total)
+    m_totals, log_r_totals = spec.stage_totals
+    return lse_root(log_counts, log_rs, 0.0,
+                    float(log_r_totals[k - 1]) / m_totals[k - 1])
 
 
 @dataclass(frozen=True)

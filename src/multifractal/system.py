@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -36,6 +37,8 @@ WEIGHT_SUM_TOL = 1e-12
 GEOM_TOL = 1e-12
 # most steps seen: lse_root 8; q_of_alpha about 6, and 32 at alpha's ends
 NEWTON_CAP = 100
+# a Word stores its symbols as int16
+_SYMBOL_MAX = int(np.iinfo(np.int16).max)
 
 
 @dataclass(frozen=True)
@@ -176,14 +179,18 @@ def load_system(source) -> WeightedSystem:
     """Load a system from a JSON file path, JSON text, or mapping."""
     if isinstance(source, Mapping):
         return _from_mapping(source)
+    # os.path.isfile, unlike Path.exists, is False for a name too long
     if isinstance(source, (str, Path)) and "\n" not in str(source) \
-            and Path(source).exists():
-        text = Path(source).read_text(encoding="utf-8")
+            and os.path.isfile(source):
+        try:
+            text = Path(source).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"system file is not UTF-8: {exc}") from exc
     else:
         text = str(source)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting
         raise FormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, Mapping):
         raise FormatError("system document must be a JSON object")
@@ -200,12 +207,17 @@ class Word:
     __slots__ = ("symbols",)
 
     def __init__(self, symbols: Iterable[int]):
-        arr = np.asarray(list(symbols) if not isinstance(symbols, np.ndarray)
-                         else symbols, dtype=np.int16)
+        arr = symbols if isinstance(symbols, np.ndarray) \
+            else np.asarray(list(symbols))
         if arr.ndim != 1:
             raise RangeError("word symbols must form a flat sequence")
         if arr.size and arr.min() < 1:
             raise RangeError("symbols are 1-based; found a value below 1")
+        if arr.dtype != np.int16:
+            # checked before the cast, which may wrap silently
+            if arr.size and arr.max() > _SYMBOL_MAX:
+                raise RangeError(f"symbol {arr.max()} exceeds {_SYMBOL_MAX}")
+            arr = arr.astype(np.int16)
         arr.setflags(write=False)
         object.__setattr__(self, "symbols", arr)
 
@@ -247,11 +259,12 @@ class Word:
     @classmethod
     def from_string(cls, text: str) -> "Word":
         text = text.strip()
-        if not text:
-            return cls([])
-        if "," in text:
-            return cls([int(tok) for tok in text.split(",")])
-        return cls([int(ch) for ch in text])
+        tokens = text.split(",") if "," in text else text
+        try:
+            symbols = [int(tok) for tok in tokens]
+        except ValueError as exc:
+            raise FormatError(f"word {text!r} is not a list of integers") from exc
+        return cls(symbols)
 
     @classmethod
     def periodic(cls, pattern, length: int) -> "Word":

@@ -1,5 +1,7 @@
 """End-to-end CLI tests: parsing, exit codes, and output schemas."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import multifractal
 
@@ -77,14 +81,14 @@ class TestParseConfig:
     def test_spectrum_example(self, s1_path):
         cfg = parse_config(["spectrum", "-s", s1_path, "--q-grid", "-5:5:64"])
         assert cfg.command == "spectrum"
-        assert parse_linear_grid(cfg.params.q_grid).size == 64
+        assert cfg.q_grid.size == 64
         assert cfg.format == "csv"
 
     def test_ball_example(self, s1_path):
         cfg = parse_config(["ball", "-s", s1_path, "-x", "0.5", "-r", "0.25",
                             "--tol", "1e-9"])
         assert cfg.command == "ball"
-        assert cfg.params.tol == 1e-9
+        assert cfg.tol == 1e-9
 
     def test_missing_system_flag(self):
         with pytest.raises(UsageError):
@@ -391,3 +395,100 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[False, False]"
+
+
+# -- any argv -----------------------------------------------------------------
+# Values per flag: finite, boundary, NaN, infinite, malformed and empty; the
+# first of each pool works, and an example varies up to two flags. Sizes stay
+# small; a huge count appears only where argv parsing refuses it before
+# anything is allocated or looped over.
+
+_REAL = ["0", "-1", "0.5", "1", "2", "16", "1e-300", "1e400", "-1e400", "nan",
+         "inf", "-inf", "abc", "", "1,5"]
+_COUNT = ["0", "1", "2", "8", "-1", "abc", "", "1.5", "1e3"]
+_HUGE = "100000000000000000000"
+_SCALES = ["2^(-k), k=1..12", "2^(-k), k=5..1", "1^(-k), k=1..3", "0.5, 0.25",
+           "0.5,,0.25", "", "abc", "nan", "inf", "0", "-0.5", "2", "1e-300",
+           f"2^(-k), k=1..{_HUGE}"]
+_WORDS = ["12", "1", "3", "0", "-1", "abc", "1,,2", "70000,1", "1,2", "", " ",
+          "1 2"]
+_FLAGS = {
+    "spectrum": {"--q-grid": [
+        "-5:5:9", "0:2:3", "nan:1:3", "inf:1:3", "1e308:-1e308:3",
+        "1.7e308:1.7e308:1", "1e6:1e6:1", "0:1:0", "0:1:-1", "0:1", "a:b:c",
+        "", f"0:1:{_HUGE}"]},
+    "assouad-word": {
+        "--word": _WORDS,
+        "--length": ["200", "1", "40", "0", "-1", "abc", _HUGE],
+        "--windows": ["10:40", "1:1", "0:5", "5:1", "a:b", "1:2:3", "",
+                      f"1:{_HUGE}"],
+        "--per-window": [None, ""]},
+    "greedy": {"--alpha": ["1.2"] + _REAL,
+               "--length": ["200", "1", "0", "-1", "abc", "", _HUGE]},
+    "moran": {"--alpha": ["1.2"] + _REAL, "--epsilon": ["0.05"] + _REAL,
+              "--n": ["16"] + _COUNT + [_HUGE],
+              "--stages": ["20"] + _COUNT + [_HUGE]},
+    "ball": {"-x": ["0.5"] + _REAL, "-r": ["0.25"] + _REAL,
+             "--tol": ["1e-9"] + _REAL, "--depth-cap": [None] + _COUNT + [_HUGE]},
+    "doubling-scan": {"-x": ["0.3"] + _REAL, "--gamma": ["16"] + _REAL,
+                      "--scales": _SCALES, "--rel-tol": ["1e-9"] + _REAL},
+    "assouad-scan": {"-x": ["0"] + _REAL, "--scales": _SCALES,
+                     "--min-ratio": ["4"] + _REAL, "--rel-tol": ["1e-9"] + _REAL},
+    "witness": {"--n-target": ["64"] + _REAL + ["1e308"],
+                "--depth-cap": ["32"] + _COUNT + ["2000", _HUGE]},
+    "abundance": {"--n": ["8"] + _COUNT, "--delta": ["0.25"] + _REAL,
+                  "--kappa": _WORDS},
+}
+_SYSTEMS = {
+    "s1.json": dump_system(multifractal.WeightedSystem(
+        (1 / 3, 2 / 3), (0.5, 0.5), (0.0, 0.5))).encode(),
+    "no_geometry.json": b'{"probs": [0.25, 0.75], "ratios": [0.5, 0.5]}',
+    "latin1.json": '{"probs": [0.5, 0.5], "ratios": ["\u00bd"]}'.encode("latin-1"),
+    "broken.json": b'{"probs": [0.5',
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    pools = dict(_FLAGS[command], **{"-s": list(_SYSTEMS) + ["none.json"],
+                                     "--format": [None, "csv", "json", "xml"]})
+    varied = draw(st.sets(st.sampled_from(sorted(pools)), max_size=2))
+    argv = [command]
+    for flag, pool in pools.items():
+        value = draw(st.sampled_from([None] + pool)) if flag in varied else pool[0]
+        if value is not None:
+            argv += [flag] if flag == "--per-window" else [flag, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def system_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("systems")
+    for name, data in _SYSTEMS.items():
+        (path / name).write_bytes(data)
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argvs())
+@example(argv=["assouad-word", "--word", "abc", "-s", "s1.json"])
+@example(argv=["assouad-word", "--word", "1,,2", "-s", "s1.json"])
+@example(argv=["assouad-word", "--word", "70000,1", "-s", "s1.json"])
+@example(argv=["abundance", "--n", "8", "--delta", "0.25", "--kappa", "abc",
+               "-s", "s1.json"])
+@example(argv=["spectrum", "-s", "latin1.json"])
+@example(argv=["spectrum", "--q-grid", "inf:1:3", "-s", "s1.json"])
+def test_any_argv_exits_cleanly(system_dir, argv):
+    """Exit 0, 1 or 2, never a traceback; a failure is one stderr line."""
+    argv = [str(system_dir / tok) if tok in _SYSTEMS or tok == "none.json"
+            else tok for tok in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1
+        assert (err.getvalue().split(":")[0] == "UsageError") == (code == 2)

@@ -47,6 +47,7 @@ from multifractal.system import (
     WeightedSystem,
     alpha_bounds,
     logsumexp,
+    lse_root,
     word_log_arrays,
 )
 
@@ -679,6 +680,28 @@ class TestMoran:
         monkeypatch.setattr(symbolic, "logsumexp", lambda a: gain)
         with pytest.raises(BudgetError):
             moran_construct(s1, 1.2, 0.05, 16)
+
+    @pytest.mark.parametrize("alpha,eps,n,stages", [
+        (1.2, 0.05, 16, 20), (1.0, 0.1, 128, 10), (1.3, 0.2, 8, 60)])
+    def test_stage_dimensions_read_the_spine_once(self, s1, monkeypatch,
+                                                   alpha, eps, n, stages):
+        # a stage reads the running sums the spec built once, not the
+        # spine; the sum over the spine's stage ends is the bit-exact oracle
+        spec = moran_construct(s1, alpha, eps, n, stages)
+        calls = []
+        real = symbolic.word_log_arrays
+        monkeypatch.setattr(symbolic, "word_log_arrays",
+                            lambda *a: calls.append(a) or real(*a))
+        dims = [moran_dimension(spec, k) for k in range(1, stages + 1)]
+        assert len(calls) <= 1
+        _, lr = word_log_arrays(s1, spec.spine)
+        spine_log_r = np.cumsum(lr)
+        log_counts, log_rs = spec.blocks.log_terms
+        for k, dim in enumerate(dims, start=1):
+            total = float(sum(spine_log_r[j * n - 1] for j in range(1, k + 1)))
+            want = lse_root(log_counts, log_rs, 0.0,
+                            total / sum(spec.stage_lengths[:k]))
+            assert dim == want, k
 
     def test_stage_root_identity(self, s1):
         spec = moran_construct(s1, 1.2, 0.05, 16)

@@ -110,6 +110,21 @@ class TestSerialization:
         doc = json.loads(dump_system(s1))
         assert set(doc) == {"probs", "ratios", "translations"}
 
+    def test_long_one_line_text_is_not_taken_for_a_path(self):
+        doc = {"probs": [1 / 40] * 40, "ratios": [1 / 41] * 40}
+        assert load_system(json.dumps(doc)).m == 40
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, "[" * 100_000 + "\n"])
+    def test_too_deep_nesting_is_a_format_error(self, text):
+        with pytest.raises(FormatError, match="invalid JSON"):
+            load_system(text)
+
+    def test_undecodable_file_is_a_format_error(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"probs": [0.5, 0.5], "ratios": ["½"]}'.encode("latin-1"))
+        with pytest.raises(FormatError, match="not UTF-8"):
+            load_system(path)
+
 
 class TestWord:
     def test_from_string_digits(self):
@@ -141,6 +156,21 @@ class TestWord:
     def test_zero_based_symbols_rejected(self):
         with pytest.raises(RangeError):
             Word([0, 1])
+
+    @pytest.mark.parametrize("text", ["abc", "1,,2", "12a", "1 2", "-1", "1,x"])
+    def test_non_integer_tokens_are_a_format_error(self, text):
+        with pytest.raises(FormatError):
+            Word.from_string(text)
+
+    @pytest.mark.parametrize("symbols", [
+        [70000, 1], [2 ** 15], [10 ** 20], np.array([70000, 1]),
+        np.array([2 ** 40], dtype=np.uint64)])
+    def test_symbols_past_int16_are_refused_not_wrapped(self, symbols):
+        with pytest.raises(RangeError, match="exceeds 32767"):
+            Word(symbols)
+
+    def test_largest_int16_symbol_is_kept(self):
+        assert list(Word([2 ** 15 - 1, 1])) == [32767, 1]
 
     def test_concat_and_equality(self):
         assert Word.from_string("12") + Word.from_string("21") == \
