@@ -39,9 +39,16 @@ from .tables import emit_object, emit_table
 MAX_COUNT = 10 ** 7
 
 
+class _HelpShown(Exception):
+    """-h or --help printed its help; main returns 0."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); raise instead
         raise UsageError(message)
+
+    def exit(self, status=0, message=None):  # reached only by -h / --help
+        raise _HelpShown
 
 
 def parse_linear_grid(spec: str) -> np.ndarray:
@@ -311,6 +318,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"UsageError: {exc}", file=sys.stderr)
         return 2
+    except _HelpShown:
+        return 0
     return run(config)
 
 

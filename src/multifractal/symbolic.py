@@ -13,12 +13,14 @@ the limsup over window lengths.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -52,7 +54,7 @@ BIT_BUDGET = 20_000_000
 # thin, few enough that a block's arrays and lists stay near 100 KB, so the
 # walk's memory does not grow with the family
 WALK_BLOCK = 1024
-# float cells in each of assouad_estimate's two scan buffers: window lengths
+# float cells per sum in assouad_estimate's scan buffer: window lengths
 # are scanned in batches that fit, one length at a time for longer words.
 # Larger buffers scan a little faster but raise the resident set.
 SCAN_CELLS = 1 << 14
@@ -217,26 +219,25 @@ def assouad_estimate(sys_: WeightedSystem, word: Word,
     lp, lr = word_log_arrays(sys_, word)
     ns = np.arange(n_lo, n_hi + 1)
     sups = np.empty(ns.size)
-    # Prefix sums, then ns.size - 1 reads past the word's end: +1e300 over
-    # -1e300, whose ratio -1 lies below every window's (positive) exponent.
-    # Row n of a window view starts at position n, and a batch's row i holds
-    # the windows of length n + i, so each row's maximum is its own.
+    # Prefix sums of log p and log r as the two rows of one array, then
+    # ns.size - 1 reads past the word's end: +1e300 over -1e300, whose ratio
+    # -1 lies below every window's (positive) exponent. Row n of a window
+    # view starts at position n, and a batch's row i holds the windows of
+    # length n + i, so each row's maximum is its own.
     size = len(word) + 1
-    cp, cr = np.zeros(size + ns.size - 1), np.zeros(size + ns.size - 1)
-    np.cumsum(lp, out=cp[1:size])
-    np.cumsum(lr, out=cr[1:size])
-    cp[size:], cr[size:] = 1e300, -1e300
+    c = np.zeros((2, size + ns.size - 1))
+    np.cumsum(lp, out=c[0, 1:size])
+    np.cumsum(lr, out=c[1, 1:size])
+    c[0, size:], c[1, size:] = 1e300, -1e300
     width = size - n_lo
     batch = max(1, SCAN_CELLS // width)
-    starts_p = sliding_window_view(cp, width)
-    starts_r = sliding_window_view(cr, width)
-    num, den = np.empty((batch, width)), np.empty((batch, width))
+    starts = sliding_window_view(c, width, axis=1)
+    buf = np.empty((2, batch, width))
     for i in range(0, ns.size, batch):
         n, b, k = n_lo + i, min(batch, ns.size - i), width - i
-        u, v = num[:b, :k], den[:b, :k]
-        np.subtract(starts_p[n:n + b, :k], cp[:k], out=u)
-        np.subtract(starts_r[n:n + b, :k], cr[:k], out=v)
-        sups[i:i + b] = np.divide(u, v, out=u).max(axis=1)
+        u = buf[:, :b, :k]
+        np.subtract(starts[:, n:n + b, :k], c[:, None, :k], out=u)
+        sups[i:i + b] = np.divide(u[0], u[1], out=u[0]).max(axis=1)
     top = ns.size - max(1, ns.size - (3 * ns.size) // 4)
     estimate = float(sups[top:].max()) if ns.size > 1 else float(sups[-1])
     return AssouadEstimate(ns, sups, estimate, (n_lo, n_hi))
@@ -268,8 +269,7 @@ def _compositions(total: int, parts: int) -> Iterator[np.ndarray]:
         yield np.diff(edges, axis=1) - 1
 
 
-@dataclass(frozen=True)
-class TypeRow:
+class TypeRow(NamedTuple):
     """One type class of a block alphabet: counts include any appended tail."""
 
     counts: tuple[int, ...]
@@ -328,7 +328,8 @@ def block_alphabet(sys_: WeightedSystem, n: int, alpha: float | None = None,
     """Type-level description of the length-n blocks with exponent <= alpha.
 
     alpha=None keeps the whole base family. kappa switches the base from the
-    full shift to the tail-appended family ending in kappa.
+    full shift to the tail-appended family ending in kappa. The latest family
+    walked is kept, so a repeated call returns the same alphabet object.
     """
     if n < 1:
         raise DomainError("block length must be positive")
@@ -336,8 +337,7 @@ def block_alphabet(sys_: WeightedSystem, n: int, alpha: float | None = None,
         kappa = Word.from_string(kappa)
     kappa = kappa or None  # an empty tail is no tail
     m = sys_.m
-    kc = _kappa_counts(kappa, m)
-    free = n - sum(kc)
+    free = n - sum(_kappa_counts(kappa, m))
     if free < 0:
         raise DomainError(f"tail of length {n - free} does not fit in n={n}")
     n_types = math.comb(free + m - 1, m - 1)
@@ -345,8 +345,32 @@ def block_alphabet(sys_: WeightedSystem, n: int, alpha: float | None = None,
     if n_types * free > BIT_BUDGET / math.log2(m):
         raise SizeCapError(f"{free} free letters over {m} symbols exceed the "
                            f"budget of {BIT_BUDGET} bits of exact counts")
+    return _walk(sys_, n, alpha, kappa)
+
+
+# typed: an int alpha and the equal float each keep their own alpha_cap
+@functools.lru_cache(maxsize=1, typed=True)
+def _walk(sys_: WeightedSystem, n: int, alpha: float | None,
+          kappa: Word | None) -> BlockAlphabet:
+    """The type walk behind block_alphabet, on arguments it has checked.
+
+    One entry is kept: gamma_n_alpha and then moran_construct on the same
+    family walk it once. Sharing is safe, as the alphabet is immutable.
+    """
+    m = sys_.m
+    kc = _kappa_counts(kappa, m)
+    free = n - sum(kc)
     logs = np.column_stack([sys_.log_probs, sys_.log_ratios])
     tail = np.asarray(kc, dtype=np.int64)
+    # A type's count free! / prod c_i! is its largest part's falling
+    # factorial free! / top! over the other parts' factorials: the top part
+    # is at least free / m and every other part at most free / 2, so both
+    # tables stay short and each row makes one small big-int division.
+    fact = np.array(list(itertools.accumulate(
+        range(1, free // 2 + 1), operator.mul, initial=1)), dtype=object)
+    falling = np.array(list(itertools.accumulate(
+        range(free, -(-free // m), -1), operator.mul, initial=1)),
+        dtype=object)
     rows = []
     for comps in _compositions(free, m):
         counts = comps + tail
@@ -356,11 +380,12 @@ def block_alphabet(sys_: WeightedSystem, n: int, alpha: float | None = None,
             keep = ~(ratio > alpha + 1e-12)  # a NaN alpha cuts nothing
             comps, counts = comps[keep], counts[keep]
             log_p, log_r, ratio = log_p[keep], log_r[keep], ratio[keep]
-        rows.extend(
-            TypeRow(tuple(c), _multinomial(free, comp), p, r, q)
-            for comp, c, p, r, q in zip(comps.tolist(), counts.tolist(),
-                                        log_p.tolist(), log_r.tolist(),
-                                        ratio.tolist()))
+        at = np.arange(len(comps)), comps.argmax(axis=1)
+        top = comps[at]
+        comps[at] = 0  # leaves the other parts, whose factorials divide
+        sizes = falling[free - top] // fact[comps].prod(axis=1)
+        rows.extend(map(TypeRow, map(tuple, counts.tolist()), sizes.tolist(),
+                        log_p.tolist(), log_r.tolist(), ratio.tolist()))
     return BlockAlphabet(sys_, n, kappa, alpha, tuple(rows))
 
 
@@ -397,17 +422,23 @@ def greedy_word(sys_: WeightedSystem, alpha: float, length: int) -> Word:
     if not (a_lo - 1e-9 <= alpha <= a_hi + 1e-9):
         raise DomainError(f"alpha={alpha} outside [{a_lo}, {a_hi}]")
     sr = sys_.symbol_ratios
-    hi, lo = ((int(i) + 1, float(sys_.log_probs[i]), float(sys_.log_ratios[i]))
-              for i in (np.argmax(sr), np.argmin(sr)))
+    (hi_sym, hi_p, hi_r), (lo_sym, lo_p, lo_r) = (
+        (int(i) + 1, float(sys_.log_probs[i]), float(sys_.log_ratios[i]))
+        for i in (np.argmax(sr), np.argmin(sr)))
     if alpha >= a_hi - 1e-12:
-        return Word.constant(hi[0], length)
-    symbols = [hi[0]]
-    log_p, log_r = hi[1], hi[2]
-    while len(symbols) < length:
-        nxt = hi if log_p / log_r < alpha else lo
-        symbols.append(nxt[0])
-        log_p += nxt[1]
-        log_r += nxt[2]
+        return Word.constant(hi_sym, length)
+    symbols = [hi_sym]
+    append = symbols.append
+    log_p, log_r = hi_p, hi_r
+    for _ in range(length - 1):
+        if log_p / log_r < alpha:
+            append(hi_sym)
+            log_p += hi_p
+            log_r += hi_r
+        else:
+            append(lo_sym)
+            log_p += lo_p
+            log_r += lo_r
     return Word(symbols)
 
 

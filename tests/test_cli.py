@@ -183,6 +183,20 @@ class TestExitCodes:
         assert res.stderr.startswith("SizeCapError:")
         assert res.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [
+        [], ["spectrum"], ["assouad-word"], ["greedy"], ["moran"], ["ball"],
+        ["doubling-scan"], ["assouad-scan"], ["witness"], ["abundance"]])
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_returns_zero(self, capsys, command, flag):
+        code, out, err = run_cli(capsys, command + [flag])
+        assert code == 0 and err == ""
+        assert out.startswith(f"usage: {' '.join(['multifractal'] + command)} ")
+
+    def test_help_process_exits_zero(self):
+        res = run_cli_process(["moran", "-h"])
+        assert res.returncode == 0 and res.stderr == ""
+        assert res.stdout.startswith("usage: multifractal moran ")
+
     def test_success_is_zero(self, capsys, s1_path):
         code, out, err = run_cli(capsys, ["ball", "-s", s1_path,
                                           "-x", "0.5", "-r", "0.25"])
@@ -479,6 +493,10 @@ def system_dir(tmp_path_factory):
                "-s", "s1.json"])
 @example(argv=["spectrum", "-s", "latin1.json"])
 @example(argv=["spectrum", "--q-grid", "inf:1:3", "-s", "s1.json"])
+@example(argv=["-h"])
+@example(argv=["spectrum", "-h"])
+@example(argv=["moran", "--alpha", "1.2", "--help", "-s", "s1.json"])
+@example(argv=["witness", "-s", "none.json", "-h"])
 def test_any_argv_exits_cleanly(system_dir, argv):
     """Exit 0, 1 or 2, never a traceback; a failure is one stderr line."""
     argv = [str(system_dir / tok) if tok in _SYSTEMS or tok == "none.json"

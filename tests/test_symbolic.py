@@ -24,6 +24,7 @@ from multifractal import (
     NeedLargerN,
     PrefixTooShort,
     SizeCapError,
+    TypeRow,
     TypeVector,
     WindowRangeError,
     Word,
@@ -107,6 +108,30 @@ def row_loop_alphabet(sys_, n, alpha, kappa):
         count = math.factorial(free) // math.prod(map(math.factorial, comp))
         rows.append((counts, count, log_p, log_r, ratio))
     return rows
+
+
+def loop_greedy_word(sys_, alpha, length):
+    """greedy_word's earlier loop: the next letter picked per step, by tuple."""
+    sr = sys_.symbol_ratios
+    hi, lo = ((int(i) + 1, float(sys_.log_probs[i]), float(sys_.log_ratios[i]))
+              for i in (np.argmax(sr), np.argmin(sr)))
+    if alpha >= alpha_bounds(sys_)[1] - 1e-12:
+        return [hi[0]] * length
+    symbols = [hi[0]]
+    log_p, log_r = hi[1], hi[2]
+    while len(symbols) < length:
+        nxt = hi if log_p / log_r < alpha else lo
+        symbols.append(nxt[0])
+        log_p += nxt[1]
+        log_r += nxt[2]
+    return symbols
+
+
+def random_weighted_system(m, rng):
+    """m maps with weights clipped away from 0 and ratios summing below 1."""
+    p = np.clip(rng.dirichlet(np.full(m, 2.0)), 0.02, None)
+    return WeightedSystem(tuple((p / p.sum()).tolist()),
+                          tuple(rng.uniform(0.05, 0.98 / m, m).tolist()))
 
 
 def per_length_scan(sys_, word, n_lo, n_hi):
@@ -362,6 +387,39 @@ class TestBlockAlphabet:
         b = block_alphabet(s1, 5, alpha=1.0, kappa="12")
         assert a.rows == b.rows
 
+    def test_repeated_call_returns_the_same_alphabet(self, s1):
+        a = block_alphabet(s1, 9, 1.1, kappa="12")
+        assert block_alphabet(s1, 9, 1.1, Word.from_string("12")) is a
+        assert gamma_n_alpha(s1, 9, 1.1, kappa="12") is a
+        b = block_alphabet(s1, 9, 1.2, kappa="12")
+        assert b is not a and block_alphabet(s1, 9, 1.1, "12") is not a
+
+    def test_type_row_is_a_named_tuple(self, s1):
+        assert TypeRow._fields == ("counts", "count", "log_p", "log_r",
+                                   "ratio")
+        row = block_alphabet(s1, 6, 1.1).rows[0]
+        with pytest.raises(AttributeError):
+            row.count = 0
+        for sys_, n, alpha, kappa in [(s1, 6, None, None), (M3, 9, 0.9, None),
+                                      (M4, 7, None, "12"),
+                                      (M3, 12, 1.0, "1231")]:
+            rows = block_alphabet(sys_, n, alpha, kappa).rows
+            assert list(rows) == row_loop_alphabet(sys_, n, alpha, kappa)
+
+    @pytest.mark.parametrize("sys_, n, alpha, kappa", [
+        (WeightedSystem((1 / 3, 2 / 3), (0.5, 0.5)), 2000, None, None),
+        (WeightedSystem((1 / 3, 2 / 3), (0.5, 0.5)), 2001, 1.2, "12"),
+        (M3, 48, 0.9, None), (M3, 61, None, "1231"), (M4, 24, None, "12")])
+    def test_counts_match_multinomial(self, sys_, n, alpha, kappa):
+        kc = type_of(Word.from_string(kappa), sys_.m).counts if kappa \
+            else (0,) * sys_.m
+        free = n - sum(kc)
+        rows = block_alphabet(sys_, n, alpha, kappa).rows
+        assert len(rows) > 100
+        assert [row.count for row in rows] == [
+            _multinomial(free, [c - k for c, k in zip(row.counts, kc)])
+            for row in rows]
+
     @pytest.mark.parametrize("parts", [1, 2, 3, 4, 5])
     def test_compositions_match_recursive_walk(self, parts):
         # parts = 5 reaches 40,920 rows at total 29: several full blocks
@@ -380,9 +438,7 @@ class TestBlockAlphabet:
            cut=st.one_of(st.none(), st.floats(-0.05, 1.05)))
     def test_array_walk_matches_row_loop(self, m, seed, n, tail, cut):
         rng = np.random.default_rng(seed)
-        p = np.clip(rng.dirichlet(np.full(m, 2.0)), 0.02, None)
-        sys_ = WeightedSystem(tuple((p / p.sum()).tolist()),
-                              tuple(rng.uniform(0.05, 0.98 / m, m).tolist()))
+        sys_ = random_weighted_system(m, rng)
         kappa = "".join(str(int(c)) for c in rng.integers(1, m + 1,
                                                           min(tail, n)))
         lo, hi = alpha_bounds(sys_)
@@ -423,8 +479,10 @@ class TestBlockAlphabet:
             reps = [abundance_report(*r) for r in reports]
             return rows, reps
 
+        symbolic._walk.cache_clear()
         default = run()
         monkeypatch.setattr(symbolic, "WALK_BLOCK", 7)
+        symbolic._walk.cache_clear()  # compare fresh walks, not the memo
         assert run() == default
         # the delta-net stops at the same point: (s1, 8, 0.01) is not dense
         assert visits[0] == visits[1]
@@ -441,6 +499,7 @@ class TestBlockAlphabet:
         assert n_types * n <= symbolic.BIT_BUDGET / math.log2(m)
         assert n_types * m * 8 > 20e6
         lo, hi = alpha_bounds(sys_)
+        symbolic._walk.cache_clear()
         tracemalloc.start()
         try:
             gamma = block_alphabet(sys_, n, lo + 0.05 * (hi - lo))
@@ -573,6 +632,26 @@ class TestGreedyWord:
         with pytest.raises(DomainError):
             greedy_word(s1, 1.0, 0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1),
+           cut=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+           length=st.integers(1, 5000))
+    def test_matches_step_loop(self, m, seed, cut, length):
+        sys_ = random_weighted_system(m, np.random.default_rng(seed))
+        lo, hi = alpha_bounds(sys_)
+        alpha = hi if cut == 1.0 else lo + cut * (hi - lo)
+        assert greedy_word(sys_, alpha, length).symbols.tolist() == \
+            loop_greedy_word(sys_, alpha, length)
+
+    @pytest.mark.parametrize("probs", [(0.25, 0.5, 0.25),
+                                       (0.125, 0.5, 0.375)])
+    @pytest.mark.parametrize("alpha", [1.1, 1.2, 1.25, 4 / 3, 1.5, 5 / 3, 1.75])
+    def test_exact_ties_match_step_loop(self, probs, alpha):
+        # dyadic weights over ratio 1/2: running exponents meet alpha exactly
+        sys_ = WeightedSystem(probs, (0.5,) * len(probs))
+        assert greedy_word(sys_, alpha, 4000).symbols.tolist() == \
+            loop_greedy_word(sys_, alpha, 4000)
+
     def test_convergence_bound(self, random_system):
         """Final exponent sits within the worst single-step increment bound."""
         rng = np.random.default_rng(23)
@@ -590,6 +669,25 @@ class TestGreedyWord:
 
 
 class TestMoran:
+    def test_one_walk_per_task(self, monkeypatch):
+        # the benchmark task: gamma_n_alpha, then moran_construct on the
+        # same (system, n, alpha), walks the filtered family once
+        symbolic._walk.cache_clear()
+        walks = []
+        compositions = symbolic._compositions
+
+        def counted(*args):
+            walks.append(args)
+            return compositions(*args)
+
+        monkeypatch.setattr(symbolic, "_compositions", counted)
+        lo, hi = alpha_bounds(M4)
+        alpha = lo + 0.55 * (hi - lo)
+        gamma = gamma_n_alpha(M4, 24, alpha)
+        spec = moran_construct(M4, alpha, 0.1, 24, 8)
+        assert spec.blocks is gamma
+        assert walks == [(24, 4)]
+
     def test_construct_above_crossover(self, s1):
         spec = moran_construct(s1, 1.2, 0.05, 16)
         assert spec.s == pytest.approx(0.95, abs=1e-9)
