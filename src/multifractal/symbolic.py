@@ -5,10 +5,11 @@ counting, entropy functionals, and subshift dimensions are all carried at
 type level, so block lengths in the thousands stay cheap even though the
 underlying alphabets are astronomically large.
 
-The estimators here work on finite prefixes. assouad_estimate scans every
-window of each requested length and aggregates the per-length suprema over
-the top quartile of the window range, which is the finite-data surrogate for
-the limsup over window lengths.
+The estimators here work on finite prefixes. assouad_estimate takes the
+largest window exponent over the top quartile of the requested window
+lengths, the finite-data surrogate for the limsup over window lengths, and
+scans only those lengths; the per-length suprema over the whole range are
+scanned when per_n_sup is first read.
 """
 
 from __future__ import annotations
@@ -54,8 +55,9 @@ BIT_BUDGET = 20_000_000
 # thin, few enough that a block's arrays and lists stay near 100 KB, so the
 # walk's memory does not grow with the family
 WALK_BLOCK = 1024
-# float cells per sum in assouad_estimate's scan buffer: window lengths
-# are scanned in batches that fit, one length at a time for longer words.
+# float cells per sum in the window scan's buffer: window lengths are
+# scanned in batches that fit, one length at a time for longer words. The
+# call scans the top quartile of its range, per_n_sup the whole range.
 # Larger buffers scan a little faster but raise the resident set.
 SCAN_CELLS = 1 << 14
 
@@ -182,50 +184,40 @@ def type_class_log_count(n: int, freqs) -> TypeClassCount:
 
 def local_dim_prefixes(sys_: WeightedSystem, word: Word, depths) -> np.ndarray:
     """Prefix exponents log p_(w|d) / log r_(w|d) at the requested depths."""
-    ds = np.asarray(list(depths), dtype=np.intp)
-    if ds.size == 0:
+    try:
+        ds = [operator.index(d) for d in depths]
+    except TypeError as exc:
+        raise DomainError(f"depths must be integers: {exc}") from exc
+    if not ds:
         return np.array([])
-    if ds.min() < 1:
+    if min(ds) < 1:
         raise DomainError("depths must be positive")
-    if ds.max() > len(word):
+    if max(ds) > len(word):
         raise PrefixTooShort(
-            f"depth {int(ds.max())} exceeds prefix length {len(word)}")
+            f"depth {max(ds)} exceeds prefix length {len(word)}")
     lp, lr = word_log_arrays(sys_, word)
     cp, cr = np.cumsum(lp), np.cumsum(lr)
-    return cp[ds - 1] / cr[ds - 1]
+    at = np.asarray(ds, dtype=np.intp) - 1
+    return cp[at] / cr[at]
 
 
-@dataclass(frozen=True)
-class AssouadEstimate:
-    ns: np.ndarray
-    per_n_sup: np.ndarray
-    estimate: float
-    window_range: tuple[int, int]
+def _window_sups(sys_: WeightedSystem, word: Word, n_lo: int,
+                 n_hi: int) -> np.ndarray:
+    """Per-length suprema of log p_a / log r_a over the word's windows a.
 
-
-def assouad_estimate(sys_: WeightedSystem, word: Word,
-                     window_range: tuple[int, int]) -> AssouadEstimate:
-    """Sliding-window estimator of the pointwise Assouad exponent.
-
-    per_n_sup[n] is the supremum of log p_a / log r_a over all length-n
-    windows of the prefix; the estimate aggregates the top quartile of the
-    window range, where finite-length bias is smallest.
+    Row n - n_lo holds the supremum over the length-n windows, for each n in
+    n_lo..n_hi; the caller checks that the range fits the word.
     """
-    n_lo, n_hi = int(window_range[0]), int(window_range[1])
-    if not (1 <= n_lo <= n_hi <= len(word)):
-        raise WindowRangeError(
-            f"window range [{n_lo}, {n_hi}] does not fit a prefix of "
-            f"length {len(word)}")
     lp, lr = word_log_arrays(sys_, word)
-    ns = np.arange(n_lo, n_hi + 1)
-    sups = np.empty(ns.size)
+    rows = n_hi - n_lo + 1
+    sups = np.empty(rows)
     # Prefix sums of log p and log r as the two rows of one array, then
-    # ns.size - 1 reads past the word's end: +1e300 over -1e300, whose ratio
+    # rows - 1 reads past the word's end: +1e300 over -1e300, whose ratio
     # -1 lies below every window's (positive) exponent. Row n of a window
     # view starts at position n, and a batch's row i holds the windows of
     # length n + i, so each row's maximum is its own.
     size = len(word) + 1
-    c = np.zeros((2, size + ns.size - 1))
+    c = np.zeros((2, size + rows - 1))
     np.cumsum(lp, out=c[0, 1:size])
     np.cumsum(lr, out=c[1, 1:size])
     c[0, size:], c[1, size:] = 1e300, -1e300
@@ -233,14 +225,57 @@ def assouad_estimate(sys_: WeightedSystem, word: Word,
     batch = max(1, SCAN_CELLS // width)
     starts = sliding_window_view(c, width, axis=1)
     buf = np.empty((2, batch, width))
-    for i in range(0, ns.size, batch):
-        n, b, k = n_lo + i, min(batch, ns.size - i), width - i
+    for i in range(0, rows, batch):
+        n, b, k = n_lo + i, min(batch, rows - i), width - i
         u = buf[:, :b, :k]
         np.subtract(starts[:, n:n + b, :k], c[:, None, :k], out=u)
         sups[i:i + b] = np.divide(u[0], u[1], out=u[0]).max(axis=1)
-    top = ns.size - max(1, ns.size - (3 * ns.size) // 4)
-    estimate = float(sups[top:].max()) if ns.size > 1 else float(sups[-1])
-    return AssouadEstimate(ns, sups, estimate, (n_lo, n_hi))
+    return sups
+
+
+@dataclass(frozen=True)
+class AssouadEstimate:
+    """Window-scan estimate of the pointwise Assouad exponent along a word.
+
+    The call scans only the top quartile of the window range, the lengths
+    the estimate reads; per_n_sup scans every length on first read, from
+    the system and word held here.
+    """
+
+    system: WeightedSystem = field(repr=False)
+    word: Word = field(repr=False)
+    ns: np.ndarray
+    estimate: float
+    window_range: tuple[int, int]
+
+    @cached_property
+    def per_n_sup(self) -> np.ndarray:
+        """Supremum of the window exponents at each length in ns."""
+        return _window_sups(self.system, self.word, *self.window_range)
+
+
+def assouad_estimate(sys_: WeightedSystem, word: Word,
+                     window_range: tuple[int, int]) -> AssouadEstimate:
+    """Sliding-window estimator of the pointwise Assouad exponent.
+
+    per_n_sup[n] is the supremum of log p_a / log r_a over all length-n
+    windows of the prefix; the estimate is the largest of them over the top
+    quartile of the window range, where finite-length bias is smallest.
+    """
+    try:
+        n_lo, n_hi = map(operator.index, window_range)
+    except (TypeError, ValueError) as exc:
+        raise WindowRangeError(
+            f"window range {window_range!r} is not a pair of integers: "
+            f"{exc}") from exc
+    if not (1 <= n_lo <= n_hi <= len(word)):
+        raise WindowRangeError(
+            f"window range [{n_lo}, {n_hi}] does not fit a prefix of "
+            f"length {len(word)}")
+    ns = np.arange(n_lo, n_hi + 1)
+    top = 3 * ns.size // 4  # 0 for a single length
+    estimate = float(_window_sups(sys_, word, n_lo + top, n_hi).max())
+    return AssouadEstimate(sys_, word, ns, estimate, (n_lo, n_hi))
 
 
 def _compositions(total: int, parts: int) -> Iterator[np.ndarray]:
@@ -416,9 +451,13 @@ def greedy_word(sys_: WeightedSystem, alpha: float, length: int) -> Word:
     letters of equal exponent the lowest index is used. An alpha equal to
     the top exponent yields the constant high word.
     """
-    a_lo, a_hi = alpha_bounds(sys_)
+    try:
+        length = operator.index(length)
+    except TypeError as exc:
+        raise DomainError(f"length must be an integer: {exc}") from exc
     if length < 1:
         raise DomainError("length must be positive")
+    a_lo, a_hi = alpha_bounds(sys_)
     if not (a_lo - 1e-9 <= alpha <= a_hi + 1e-9):
         raise DomainError(f"alpha={alpha} outside [{a_lo}, {a_hi}]")
     sr = sys_.symbol_ratios

@@ -12,7 +12,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multifractal import (
@@ -141,6 +141,21 @@ def per_length_scan(sys_, word, n_lo, n_hi):
     cr = np.concatenate([[0.0], np.cumsum(lr)])
     return np.array([np.max((cp[n:] - cp[:-n]) / (cr[n:] - cr[:-n]))
                      for n in range(n_lo, n_hi + 1)])
+
+
+def top_quartile(size):
+    """First row of the window range that the estimate reads."""
+    return size - max(1, size - (3 * size) // 4)
+
+
+@st.composite
+def window_cases(draw):
+    """(m, seed, word length, n_lo, n_hi), often with only 1 to 3 lengths."""
+    length = draw(st.integers(1, 3000))
+    n_lo = draw(st.integers(1, length))
+    span = draw(st.one_of(st.integers(0, 2), st.integers(0, length - n_lo)))
+    return (draw(st.integers(2, 4)), draw(st.integers(0, 2 ** 32 - 1)),
+            length, n_lo, min(n_lo + span, length))
 
 
 def block_chase_spine(sys_, alpha, n, stages):
@@ -297,6 +312,16 @@ class TestLocalDimPrefixes:
     def test_empty_depths(self, s1):
         assert local_dim_prefixes(s1, Word.from_string("12"), []).size == 0
 
+    @pytest.mark.parametrize("depths", [[2.7, 3.2], [2.0], ["2"], [None]])
+    def test_non_integer_depths_rejected(self, s1, depths):
+        with pytest.raises(DomainError):
+            local_dim_prefixes(s1, Word.from_string("1221"), depths)
+
+    def test_numpy_integer_depths(self, s1):
+        w = Word.from_string("1221")
+        got = local_dim_prefixes(s1, w, np.array([1, 3], dtype=np.int32))
+        assert np.array_equal(got, local_dim_prefixes(s1, w, [1, 3]))
+
 
 class TestAssouadEstimate:
     def test_window_ratios_bounded(self, random_system):
@@ -343,10 +368,69 @@ class TestAssouadEstimate:
             assert np.array_equal(est.per_n_sup,
                                   per_length_scan(sys_, word, lo, hi))
 
-    @pytest.mark.parametrize("rng", [(0, 5), (5, 3), (5, 200)])
+    @pytest.mark.parametrize("rng", [(0, 5), (5, 3), (5, 200), (5.5, 20.9),
+                                     (5, 20.0), (math.nan, 20), ("5", 20),
+                                     (5,), (5, 10, 20), None])
     def test_bad_window_range(self, s1, rng):
         with pytest.raises(WindowRangeError):
             assouad_estimate(s1, Word.periodic("12", 100), rng)
+
+    def test_numpy_integer_window_range(self, s1):
+        w = Word.periodic("12", 100)
+        est = assouad_estimate(s1, w, (np.int64(5), np.int32(20)))
+        assert est.window_range == (5, 20)
+        assert est.estimate == assouad_estimate(s1, w, (5, 20)).estimate
+
+    @pytest.mark.parametrize("cells", [1, 50, 333, None])
+    @settings(max_examples=40, deadline=None)
+    @given(case=window_cases())
+    @example(case=(2, 0, 1, 1, 1))
+    @example(case=(3, 1, 40, 7, 8))
+    @example(case=(4, 2, 40, 38, 40))
+    @example(case=(2, 3, 3000, 1, 3000))
+    def test_estimate_is_the_top_quartile_max(self, cells, case):
+        m, seed, length, lo, hi = case
+        rng = np.random.default_rng(seed)
+        sys_ = random_weighted_system(m, rng)
+        word = Word(rng.integers(1, m + 1, length))
+        with pytest.MonkeyPatch.context() as mp:
+            if cells is not None:
+                mp.setattr(symbolic, "SCAN_CELLS", cells)
+            est = assouad_estimate(sys_, word, (lo, hi))
+            sups = est.per_n_sup
+        want = per_length_scan(sys_, word, lo, hi)
+        assert np.array_equal(sups, want)
+        assert est.estimate == want[top_quartile(want.size):].max()
+
+    def test_lower_rows_scanned_on_first_read(self):
+        rng = np.random.default_rng(43)
+        word = Word(rng.integers(1, 4, 1500))
+        est = assouad_estimate(M3, word, (100, 900))
+        assert "per_n_sup" not in vars(est)
+        arrays = [k for k, v in vars(est).items() if isinstance(v, np.ndarray)]
+        assert arrays == ["ns"]  # no prefix sums outlive the call
+        assert np.array_equal(est.per_n_sup,
+                              per_length_scan(M3, word, 100, 900))
+        assert est.per_n_sup is est.per_n_sup
+
+    @pytest.mark.parametrize("lo, hi", [(1, 1), (10, 11), (10, 12),
+                                        (100, 900), (500, 1000)])
+    def test_call_scans_only_the_top_quartile(self, s1, monkeypatch, lo, hi):
+        scanned = []
+        scan = symbolic._window_sups
+
+        def counting(*args):
+            sups = scan(*args)
+            scanned.append(sups.size)
+            return sups
+
+        monkeypatch.setattr(symbolic, "_window_sups", counting)
+        est = assouad_estimate(s1, Word.periodic("122", 1000), (lo, hi))
+        size = est.ns.size
+        assert scanned == [size - top_quartile(size)]
+        est.per_n_sup
+        est.per_n_sup
+        assert scanned == [size - top_quartile(size), size]
 
 
 class TestBlockAlphabet:
@@ -631,6 +715,16 @@ class TestGreedyWord:
     def test_zero_length(self, s1):
         with pytest.raises(DomainError):
             greedy_word(s1, 1.0, 0)
+
+    @pytest.mark.parametrize("alpha", [1.0, A_MAX])
+    @pytest.mark.parametrize("length", [5.5, 6.0, "6", None])
+    def test_non_integer_length(self, s1, alpha, length):
+        with pytest.raises(DomainError):
+            greedy_word(s1, alpha, length)
+
+    @pytest.mark.parametrize("alpha", [1.0, A_MAX])
+    def test_numpy_integer_length(self, s1, alpha):
+        assert greedy_word(s1, alpha, np.int64(6)) == greedy_word(s1, alpha, 6)
 
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1),
