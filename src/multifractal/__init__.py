@@ -43,7 +43,6 @@ from .geometry1d import (
 )
 from .spectrum import (
     SpectrumRow,
-    SpectrumTable,
     alpha_of_q,
     f_bar,
     f_of_alpha,
@@ -57,15 +56,12 @@ from .symbolic import (
     AbundanceReport,
     AssouadEstimate,
     BlockAlphabet,
-    EntropyFunctionals,
     MoranSpec,
     TypeClassCount,
     TypeRow,
-    TypeVector,
     abundance_report,
     assouad_estimate,
     block_alphabet,
-    entropy_functionals,
     gamma_n_alpha,
     greedy_word,
     local_dim_prefixes,
@@ -73,7 +69,6 @@ from .symbolic import (
     moran_dimension,
     subshift_dimension,
     type_class_log_count,
-    type_of,
 )
 from .system import (
     WeightedSystem,

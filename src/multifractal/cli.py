@@ -11,6 +11,7 @@ each value, so handlers receive numbers, arrays and tuples.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import re
 import sys
@@ -225,8 +226,8 @@ def parse_config(argv) -> argparse.Namespace:
 
 
 def _run_spectrum(sys_, ns):
-    table = spectrum_table(sys_, ns.q_grid)
-    emit_table(table.as_records(), ns.format, ns.output,
+    rows = [dataclasses.asdict(row) for row in spectrum_table(sys_, ns.q_grid)]
+    emit_table(rows, ns.format, ns.output,
                header=["q", "tau", "alpha", "f", "f_bar"])
 
 

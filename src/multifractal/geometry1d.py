@@ -21,7 +21,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetError, DomainError, EmptyWordError, NoGeometryError
-from .system import GEOM_TOL, WeightedSystem, Word, word_stats
+from .system import (
+    GEOM_TOL,
+    WeightedSystem,
+    Word,
+    as_index,
+    check_symbols,
+    word_stats,
+)
 
 NODE_BUDGET = 10_000_000
 
@@ -88,6 +95,7 @@ def _dyadic(v: float) -> tuple[int, int]:
 
 def _affine_of_word(sys_: WeightedSystem, word: Word) -> tuple[float, float]:
     # composition of x -> r_i x + t_i over the word, as (scale, offset)
+    check_symbols(sys_, word)
     scale, offset = 1.0, 0.0
     for a in word:
         offset += scale * sys_.translations[a - 1]
@@ -120,6 +128,9 @@ def ball_measure(sys_: WeightedSystem, x: float, r: float,
         raise DomainError("radius must be positive")
     if tol <= 0.0:
         raise DomainError("tol must be positive")
+    cap = math.inf if depth_cap is None else as_index("depth_cap", depth_cap)
+    if cap < 0:
+        raise DomainError("depth_cap must be nonnegative")
     # Exact arithmetic on integers: with every r_i, t_i a multiple of 2^-k
     # and x, r, tol multiples of 2^-b, a depth-d hull is (n, s) / 2^(b+k*d).
     # Float accumulation would misclassify boundary cylinders once depth
@@ -135,7 +146,6 @@ def ball_measure(sys_: WeightedSystem, x: float, r: float,
     k = max(e for _, e in maps)
     ints = [n << (k - e) for n, e in maps]
     children = list(zip(ints[sys_.m:], ints[:sys_.m], sys_.probs))
-    cap = math.inf if depth_cap is None else depth_cap
     lower = 0.0
     straddle = 0.0
     depth_used = 0
@@ -272,7 +282,7 @@ def non_doubling_witness(sys_: WeightedSystem, n_target: float,
     """
     _require_geometry(sys_)
     _require_finite(n_target=n_target)
-    if depth_cap < 1:
+    if as_index("depth_cap", depth_cap) < 1:
         raise DomainError("depth_cap must be at least 1")
     order = sorted(range(sys_.m), key=lambda i: sys_.translations[i])
     left_edge, right_edge = _edge_symbols(sys_)
@@ -342,7 +352,7 @@ def coding_of(sys_: WeightedSystem, x: float, depth: int) -> Word:
     _require_geometry(sys_)
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x={x} outside [0, 1]")
-    if depth < 0:
+    if as_index("depth", depth) < 0:
         raise DomainError("depth must be nonnegative")
     order = sorted(range(sys_.m), key=lambda i: sys_.translations[i])
     symbols = []

@@ -170,6 +170,9 @@ def legendre_numeric(sys_: WeightedSystem, alpha, q_grid=None):
     alpha may be a scalar or an array; the tau grid is evaluated once.
     """
     qs = default_q_grid() if q_grid is None else np.asarray(q_grid, dtype=float)
+    if qs.ndim != 1 or not qs.size:
+        raise DomainError(f"q grid must be a nonempty flat sequence, "
+                          f"not of shape {qs.shape}")
     taus = np.array([solve_tau(sys_, q) for q in qs])
     a = np.asarray(alpha, dtype=float)
     values = a[..., None] * qs + taus
@@ -186,23 +189,7 @@ class SpectrumRow:
     f_bar: float
 
 
-@dataclass(frozen=True)
-class SpectrumTable:
-    rows: tuple[SpectrumRow, ...]
-    meta: dict
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self):
-        return len(self.rows)
-
-    def as_records(self) -> list[dict]:
-        return [{"q": r.q, "tau": r.tau, "alpha": r.alpha, "f": r.f,
-                 "f_bar": r.f_bar} for r in self.rows]
-
-
-def spectrum_table(sys_: WeightedSystem, q_values) -> SpectrumTable:
+def spectrum_table(sys_: WeightedSystem, q_values) -> tuple[SpectrumRow, ...]:
     """Rows (q, tau, alpha, f, f_bar) for each requested q, in order."""
     qs = [float(q) for q in q_values]
     tau0, w0 = _tilt(sys_, 0.0)
@@ -214,5 +201,4 @@ def spectrum_table(sys_: WeightedSystem, q_values) -> SpectrumTable:
         f = alpha * q + tau
         fb = tau0 if alpha > alpha0 else f
         rows.append(SpectrumRow(q, tau, alpha, f, fb))
-    meta = {"system": sys_.digest(), "points": len(rows)}
-    return SpectrumTable(tuple(rows), meta)
+    return tuple(rows)

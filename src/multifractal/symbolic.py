@@ -1,9 +1,9 @@
-"""Symbolic machinery: type vectors, block alphabets, and Moran constructions.
+"""Symbolic machinery: block alphabets, window estimates and Moran constructions.
 
 Words of a fixed length are grouped by type (empirical symbol frequency);
-counting, entropy functionals, and subshift dimensions are all carried at
-type level, so block lengths in the thousands stay cheap even though the
-underlying alphabets are astronomically large.
+counting and subshift dimensions are carried at type level, so block
+lengths in the thousands stay cheap even though the underlying alphabets
+are astronomically large.
 
 The estimators here work on finite prefixes. assouad_estimate takes the
 largest window exponent over the top quartile of the requested window
@@ -19,7 +19,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
@@ -31,7 +30,6 @@ from .errors import (
     DenominatorError,
     DomainError,
     EmptyAlphabetError,
-    EmptyWordError,
     NeedLargerN,
     PrefixTooShort,
     SizeCapError,
@@ -41,10 +39,10 @@ from .system import (
     WeightedSystem,
     Word,
     alpha_bounds,
+    as_index,
     logsumexp,
     lse_root,
     word_log_arrays,
-    xlogx,
 )
 
 TYPE_CAP = 5_000_000
@@ -60,78 +58,6 @@ WALK_BLOCK = 1024
 # call scans the top quartile of its range, per_n_sup the whole range.
 # Larger buffers scan a little faster but raise the resident set.
 SCAN_CELLS = 1 << 14
-
-
-@dataclass(frozen=True)
-class TypeVector:
-    """Exact empirical frequency of a word, stored as integer counts."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.counts or any(c < 0 for c in self.counts):
-            raise DomainError("counts must be nonnegative with at least one entry")
-        if sum(self.counts) == 0:
-            raise EmptyWordError("type of the empty word is undefined")
-
-    @property
-    def n(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def m(self) -> int:
-        return len(self.counts)
-
-    @property
-    def freqs(self) -> tuple[Fraction, ...]:
-        n = self.n
-        return tuple(Fraction(c, n) for c in self.counts)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=float) / self.n
-
-
-def type_of(word: Word, m: int | None = None) -> TypeVector:
-    """Type (symbol frequency vector) of a word over m symbols."""
-    if len(word) == 0:
-        raise EmptyWordError("type of the empty word is undefined")
-    top = int(word.symbols.max())
-    m = top if m is None else m
-    if top > m:
-        raise DomainError(f"word uses symbol {top} but m={m}")
-    counts = np.bincount(word.symbols, minlength=m + 1)[1:m + 1]
-    return TypeVector(tuple(int(c) for c in counts))
-
-
-@dataclass(frozen=True)
-class EntropyFunctionals:
-    """Shannon entropy, cross-entropy against p, and Lyapunov exponent."""
-
-    entropy: float
-    cross_entropy: float
-    lyapunov: float
-
-
-def _freq_array(freqs) -> np.ndarray:
-    if isinstance(freqs, TypeVector):
-        return freqs.as_array()
-    arr = np.asarray([float(x) for x in freqs], dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("frequency vector must be a flat nonempty sequence")
-    if arr.min() < -1e-12 or abs(arr.sum() - 1.0) > 1e-9:
-        raise DomainError("frequencies must be nonnegative and sum to one")
-    return np.clip(arr, 0.0, None)
-
-
-def entropy_functionals(sys_: WeightedSystem, freqs) -> EntropyFunctionals:
-    """H(q), H_p(q), lambda(q) for a frequency vector q (0 log 0 = 0)."""
-    q = _freq_array(freqs)
-    if q.size != sys_.m:
-        raise DomainError(f"expected {sys_.m} frequencies, got {q.size}")
-    h = float(-xlogx(q).sum())
-    hp = float(-(q @ sys_.log_probs))
-    lam = float(-(q @ sys_.log_ratios))
-    return EntropyFunctionals(h, hp, lam)
 
 
 def _multinomial(n: int, counts: Sequence[int]) -> int:
@@ -184,10 +110,7 @@ def type_class_log_count(n: int, freqs) -> TypeClassCount:
 
 def local_dim_prefixes(sys_: WeightedSystem, word: Word, depths) -> np.ndarray:
     """Prefix exponents log p_(w|d) / log r_(w|d) at the requested depths."""
-    try:
-        ds = [operator.index(d) for d in depths]
-    except TypeError as exc:
-        raise DomainError(f"depths must be integers: {exc}") from exc
+    ds = [as_index("depth", d) for d in depths]
     if not ds:
         return np.array([])
     if min(ds) < 1:
@@ -355,7 +278,13 @@ class BlockAlphabet:
 
 
 def _kappa_counts(kappa: Word | None, m: int) -> tuple[int, ...]:
-    return (0,) * m if kappa is None else type_of(kappa, m).counts
+    """Symbol counts of the tail over m symbols; zeros without a tail."""
+    if kappa is None:
+        return (0,) * m
+    top = int(kappa.symbols.max())
+    if top > m:
+        raise DomainError(f"word uses symbol {top} but m={m}")
+    return tuple(np.bincount(kappa.symbols, minlength=m + 1)[1:].tolist())
 
 
 def block_alphabet(sys_: WeightedSystem, n: int, alpha: float | None = None,
@@ -366,6 +295,7 @@ def block_alphabet(sys_: WeightedSystem, n: int, alpha: float | None = None,
     full shift to the tail-appended family ending in kappa. The latest family
     walked is kept, so a repeated call returns the same alphabet object.
     """
+    n = as_index("block length", n)
     if n < 1:
         raise DomainError("block length must be positive")
     if isinstance(kappa, str):
@@ -451,10 +381,7 @@ def greedy_word(sys_: WeightedSystem, alpha: float, length: int) -> Word:
     letters of equal exponent the lowest index is used. An alpha equal to
     the top exponent yields the constant high word.
     """
-    try:
-        length = operator.index(length)
-    except TypeError as exc:
-        raise DomainError(f"length must be an integer: {exc}") from exc
+    length = as_index("length", length)
     if length < 1:
         raise DomainError("length must be positive")
     a_lo, a_hi = alpha_bounds(sys_)
@@ -593,7 +520,7 @@ def moran_dimension(spec: MoranSpec, k: int) -> float:
     The product is m_total * logsumexp(log #a + t log r_a) + t * spine_total,
     which lse_root takes divided by m_total.
     """
-    if not (1 <= k <= len(spec.stage_lengths)):
+    if not (1 <= as_index("stage", k) <= len(spec.stage_lengths)):
         raise DomainError(f"stage {k} outside 1..{len(spec.stage_lengths)}")
     log_counts, log_rs = spec.blocks.log_terms
     m_totals, log_r_totals = spec.stage_totals

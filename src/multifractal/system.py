@@ -10,9 +10,9 @@ beyond do not underflow.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -76,7 +76,7 @@ class WeightedSystem:
                     f"translations has {len(trans)} entries, expected {len(probs)}")
             intervals = []
             for t, r in zip(trans, ratios):
-                if t < -GEOM_TOL or t + r > 1.0 + GEOM_TOL:
+                if not (-GEOM_TOL <= t and t + r <= 1.0 + GEOM_TOL):  # NaN fails
                     raise RangeError(
                         f"interval [{t}, {t + r}] is not contained in [0, 1]")
                 intervals.append((t, t + r))
@@ -130,12 +130,6 @@ class WeightedSystem:
         if self.translations is not None:
             doc["translations"] = list(self.translations)
         return doc
-
-    def digest(self) -> str:
-        """Stable short hash of the defining data."""
-        blob = json.dumps(self.canonical_dict(), sort_keys=True,
-                          separators=(",", ":"), default=repr)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def validate_system(probs, ratios=None, translations=None) -> WeightedSystem:
@@ -279,9 +273,6 @@ class Word:
     def constant(cls, symbol: int, length: int) -> "Word":
         return cls(np.full(length, symbol, dtype=np.int16))
 
-    def prefix(self, n: int) -> "Word":
-        return self[:n]
-
 
 @dataclass(frozen=True)
 class WordStats:
@@ -300,12 +291,25 @@ class WordStats:
         return math.exp(self.log_r)
 
 
+def as_index(name: str, value) -> int:
+    """value as a Python int by operator.index; DomainError otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise DomainError(f"{name} must be an integer: {exc}") from exc
+
+
+def check_symbols(sys_: WeightedSystem, word: Word) -> None:
+    """RangeError unless every symbol of the word is at most sys_.m."""
+    if len(word) and int(word.symbols.max()) > sys_.m:
+        raise RangeError(f"word uses symbol {int(word.symbols.max())} but "
+                         f"the system has m={sys_.m}")
+
+
 def word_log_arrays(sys_: WeightedSystem, word: Word):
     """Per-position (log p, log r) arrays for a word. Validates symbols."""
+    check_symbols(sys_, word)
     idx = word.symbols.astype(np.intp) - 1
-    if idx.size and idx.max() >= sys_.m:
-        raise RangeError(
-            f"word uses symbol {int(idx.max()) + 1} but the system has m={sys_.m}")
     return sys_.log_probs[idx], sys_.log_ratios[idx]
 
 

@@ -398,17 +398,39 @@ class TestOutputFile:
         assert out_path.read_text().startswith("x,r,lower")
 
 
+_GEOMETRY_ARGV = [["ball", "-x", "0.5", "-r", "0.25"],
+                  ["doubling-scan", "-x", "0.3"],
+                  ["assouad-scan", "-x", "0"],
+                  ["witness", "--n-target", "64"]]
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("field", ["probs", "ratios", "translations"])
+def test_non_finite_system_field(capsys, tmp_path, field, token):
+    """A system file with NaN or +-Infinity in any field is refused."""
+    doc = {"probs": ["0.3333333333333333", "0.6666666666666666"],
+           "ratios": ["0.5", "0.5"], "translations": ["0.0", "0.5"]}
+    doc[field][0] = token  # JSON text, as json.dumps would write it
+    path = tmp_path / "bad.json"
+    path.write_text("{" + ", ".join(f'"{key}": [{", ".join(values)}]'
+                                    for key, values in doc.items()) + "}")
+    for argv in _GEOMETRY_ARGV:
+        code, out, err = run_cli(capsys, [*argv, "-s", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("RangeError: ") and err.count("\n") == 1
+
+
 def test_import_leaves_scipy_unloaded():
     """numpy is the only runtime dependency; scipy would cost start-up.
 
     Nothing fans out over threads either, so concurrent.futures stays out.
     """
     env = package_env()
-    probe = ("import sys, multifractal; print([m in sys.modules "
-             "for m in ('scipy', 'concurrent.futures')])")
+    probe = ("import sys, multifractal; print([m in sys.modules for m in "
+             "('scipy', 'concurrent.futures', 'fractions', 'hashlib')])")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[False, False]"
+    assert out.strip() == "[False, False, False, False]"
 
 
 # -- any argv -----------------------------------------------------------------

@@ -19,6 +19,7 @@ from multifractal import (
     DomainError,
     EmptyWordError,
     NoGeometryError,
+    RangeError,
     Word,
     appended_gap_radius,
     assouad_scan,
@@ -110,6 +111,10 @@ class TestCylinderInterval:
         lo, hi = cylinder_interval(s1, w)
         assert hi - lo == pytest.approx(word_stats(s1, w).r, rel=1e-14)
 
+    def test_symbol_above_m_rejected(self, s1):
+        with pytest.raises(RangeError, match="m=2"):
+            cylinder_interval(s1, Word.from_string("1213"))
+
 
 class TestBallMeasure:
     def test_two_cylinder_ball(self, s1):
@@ -169,6 +174,17 @@ class TestBallMeasure:
         deep = ball_measure(s1, 1.0 / 3.0, 0.1, tol=1e-12)
         assert capped.depth_used <= 6
         assert capped.upper - capped.lower >= deep.upper - deep.lower
+
+    @pytest.mark.parametrize("cap", [1.5, 6.0, math.nan, "6"])
+    def test_non_integer_depth_cap(self, s1, cap):
+        with pytest.raises(DomainError, match="must be an integer"):
+            ball_measure(s1, 1.0 / 3.0, 0.1, depth_cap=cap)
+
+    def test_negative_depth_cap(self, s1):
+        with pytest.raises(DomainError, match="nonnegative"):
+            ball_measure(s1, 1.0 / 3.0, 0.1, depth_cap=-1)
+        root = ball_measure(s1, 1.0 / 3.0, 0.1, depth_cap=np.int64(0))
+        assert (root.lower, root.upper, root.depth_used) == (0.0, 1.0, 0)
 
     def test_domain_checks(self, s1):
         with pytest.raises(DomainError):
@@ -442,6 +458,11 @@ class TestWitness:
         with pytest.raises(DomainError):
             non_doubling_witness(s1, 2.0, depth_cap=0)
 
+    @pytest.mark.parametrize("cap", [2.5, 8.0, math.nan])
+    def test_non_integer_depth_cap(self, s1, cap):
+        with pytest.raises(DomainError, match="must be an integer"):
+            non_doubling_witness(s1, 4.0, cap)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_target(self, s1, bad):
         with pytest.raises(DomainError, match="not finite"):
@@ -465,6 +486,11 @@ class TestCoding:
             coding_of(s1, 1.5, 2)
         with pytest.raises(DomainError):
             coding_of(s1, 0.5, -1)
+
+    @pytest.mark.parametrize("depth", [2.5, 3.0])
+    def test_non_integer_depth(self, s1, depth):
+        with pytest.raises(DomainError, match="must be an integer"):
+            coding_of(s1, 0.3, depth)
 
     def test_point_in_a_gap(self):
         sys_ = load_system({"probs": [0.5, 0.5], "ratios": [0.3, 0.3],
@@ -499,6 +525,10 @@ class TestFixedPoint:
     def test_empty_word_rejected(self, s1):
         with pytest.raises(EmptyWordError):
             fixed_point(s1, Word([]))
+
+    def test_symbol_above_m_rejected(self, s1):
+        with pytest.raises(RangeError, match="m=2"):
+            fixed_point(s1, Word.from_string("3"))
 
 
 class TestAppendedGapRadius:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from multifractal import (
     DomainError,
+    SpectrumRow,
     alpha_bounds,
     alpha_of_q,
     f_bar,
@@ -273,6 +274,12 @@ class TestSpectrum:
         assert legendre_numeric(s1, 1.0) == pytest.approx(
             f_of_alpha(s1, 1.0), abs=1e-4)
 
+    @pytest.mark.parametrize("grid", [[], np.zeros((0,)), [[0.0, 1.0]],
+                                      np.zeros((2, 3)), 1.0])
+    def test_legendre_grid_not_flat_or_empty(self, s1, grid):
+        with pytest.raises(DomainError, match="q grid"):
+            legendre_numeric(s1, 1.0, grid)
+
 
 class TestFBar:
     def test_flat_above_alpha0(self, s1):
@@ -296,7 +303,7 @@ class TestSpectrumTable:
         qs = [-2.0, 0.0, 1.0, 2.0]
         table = spectrum_table(s1, qs)
         assert [row.q for row in table] == qs
-        row1 = table.rows[2]
+        row1 = table[2]
         assert abs(row1.tau) < 1e-10
         assert row1.f == pytest.approx(row1.alpha, abs=1e-10)
 
@@ -318,10 +325,10 @@ class TestSpectrumTable:
         spectrum_table(s1, np.linspace(-5.0, 5.0, 11))
         assert len(calls) == 12  # each row's q, plus q = 0 for f_bar
 
-    def test_meta_reports_digest(self, s1):
+    def test_returns_tuple_of_rows(self, s1):
         table = spectrum_table(s1, [0.0])
-        assert table.meta["system"] == s1.digest()
-        assert table.meta["points"] == 1
+        assert isinstance(table, tuple)
+        assert [type(row) for row in table] == [SpectrumRow]
 
     def test_empty_grid(self, s1):
         assert len(spectrum_table(s1, [])) == 0

@@ -1,4 +1,4 @@
-"""Tests for type vectors, block alphabets, greedy words, and Moran stages.
+"""Tests for type counts, block alphabets, greedy words, and Moran stages.
 
 Small-n block alphabets are cross-checked against direct enumeration of
 {1..m}^n, grouped by type, so the type-level bookkeeping is never trusted
@@ -20,18 +20,15 @@ from multifractal import (
     DenominatorError,
     DomainError,
     EmptyAlphabetError,
-    EmptyWordError,
     NeedLargerN,
     PrefixTooShort,
     SizeCapError,
     TypeRow,
-    TypeVector,
     WindowRangeError,
     Word,
     abundance_report,
     assouad_estimate,
     block_alphabet,
-    entropy_functionals,
     gamma_n_alpha,
     greedy_word,
     local_dim_prefixes,
@@ -39,11 +36,10 @@ from multifractal import (
     moran_dimension,
     subshift_dimension,
     type_class_log_count,
-    type_of,
     word_stats,
 )
 from multifractal import symbolic
-from multifractal.symbolic import _compositions, _multinomial
+from multifractal.symbolic import _compositions, _kappa_counts, _multinomial
 from multifractal.system import (
     WeightedSystem,
     alpha_bounds,
@@ -76,6 +72,18 @@ M4 = WeightedSystem((0.1, 0.2, 0.3, 0.4), (0.2, 0.2, 0.25, 0.25),
                     (0.0, 0.25, 0.5, 0.75))
 
 
+def symbol_counts(digits, m):
+    """Counts of the symbols 1..m in a word written as a digit string."""
+    return tuple(digits.count(str(i)) for i in range(1, m + 1))
+
+
+def entropy_over_lyapunov(sys_, counts):
+    """H(q) / lambda(q) for the frequencies q of a type, with 0 log 0 = 0."""
+    q = np.asarray(counts, dtype=float) / sum(counts)
+    seen = q[q > 0.0]
+    return float((seen @ np.log(seen)) / (q @ sys_.log_ratios))
+
+
 def recursive_compositions(total, parts):
     """Compositions of total into parts, head first: the lexicographic order."""
     if parts == 1:
@@ -93,7 +101,7 @@ def row_loop_alphabet(sys_, n, alpha, kappa):
     from factorials: (counts, count, log_p, log_r, ratio) per kept type.
     """
     m = sys_.m
-    kc = type_of(Word.from_string(kappa), m).counts if kappa else (0,) * m
+    kc = symbol_counts(kappa or "", m)
     free = n - sum(kc)
     lp, lr = np.asarray(sys_.log_probs), np.asarray(sys_.log_ratios)
     rows = []
@@ -198,82 +206,26 @@ def brute_blocks(sys_, n, alpha=None, kappa=""):
 
 def by_type(words, m):
     """Words grouped by type: {symbol counts: number of words}."""
-    return dict(Counter(type_of(Word.from_string(w), m).counts for w in words))
+    return dict(Counter(symbol_counts(w, m) for w in words))
 
 
 def type_counts(gamma):
     return {row.counts: row.count for row in gamma.rows}
 
 
-class TestTypeVector:
-    def test_counts_of_word(self):
-        t = type_of(Word.from_string("1221"))
-        assert t.counts == (2, 2)
-        assert t.n == 4 and t.m == 2
+class TestKappaCounts:
+    def test_counts_of_tail(self):
+        assert _kappa_counts(Word.from_string("1221"), 2) == (2, 2)
 
-    def test_explicit_m_pads(self):
-        t = type_of(Word.from_string("11"), m=3)
-        assert t.counts == (2, 0, 0)
+    def test_counts_padded_to_m(self):
+        assert _kappa_counts(Word.from_string("11"), 3) == (2, 0, 0)
+        assert _kappa_counts(None, 3) == (0, 0, 0)
 
-    def test_symbol_above_m_rejected(self):
+    def test_symbol_above_m_rejected(self, s1):
         with pytest.raises(DomainError):
-            type_of(Word.from_string("13"), m=2)
-
-    def test_empty_word_rejected(self):
-        with pytest.raises(EmptyWordError):
-            type_of(Word([]))
-
-    def test_freqs_are_exact_fractions(self):
-        from fractions import Fraction
-
-        t = type_of(Word.from_string("122"))
-        assert t.freqs == (Fraction(1, 3), Fraction(2, 3))
-
-    def test_negative_counts_rejected(self):
+            _kappa_counts(Word.from_string("13"), 2)
         with pytest.raises(DomainError):
-            TypeVector((1, -1))
-
-    def test_zero_total_rejected(self):
-        with pytest.raises(EmptyWordError):
-            TypeVector((0, 0))
-
-    def test_as_array_normalized(self):
-        assert type_of(Word.from_string("1222")).as_array() == pytest.approx([0.25, 0.75])
-
-
-class TestEntropyFunctionals:
-    def test_uniform_pair(self, s1):
-        ef = entropy_functionals(s1, [0.5, 0.5])
-        assert ef.entropy == pytest.approx(math.log(2.0), abs=1e-15)
-        assert ef.cross_entropy == pytest.approx(0.5 * math.log(4.5), abs=1e-15)
-        assert ef.lyapunov == pytest.approx(math.log(2.0), abs=1e-15)
-
-    def test_point_mass_zero_entropy(self, s1):
-        # 0 log 0 must contribute nothing
-        ef = entropy_functionals(s1, [1.0, 0.0])
-        assert ef.entropy == 0.0
-        assert ef.cross_entropy == pytest.approx(math.log(3.0))
-        assert ef.lyapunov == pytest.approx(math.log(2.0))
-
-    def test_accepts_type_vector(self, s1):
-        t = type_of(Word.from_string("12"))
-        assert entropy_functionals(s1, t).entropy == pytest.approx(math.log(2.0))
-
-    def test_wrong_length_rejected(self, s1):
-        with pytest.raises(DomainError):
-            entropy_functionals(s1, [0.2, 0.3, 0.5])
-
-    def test_bad_sum_rejected(self, s1):
-        with pytest.raises(DomainError):
-            entropy_functionals(s1, [0.6, 0.6])
-
-    def test_cross_entropy_dominates_entropy(self, random_system):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            sys_ = make_random_system(rng)
-            q = rng.dirichlet(np.ones(sys_.m))
-            ef = entropy_functionals(sys_, q)
-            assert ef.cross_entropy >= ef.entropy - 1e-12
+            block_alphabet(s1, 4, None, "13")
 
 
 class TestTypeClassCount:
@@ -495,8 +447,7 @@ class TestBlockAlphabet:
         (WeightedSystem((1 / 3, 2 / 3), (0.5, 0.5)), 2001, 1.2, "12"),
         (M3, 48, 0.9, None), (M3, 61, None, "1231"), (M4, 24, None, "12")])
     def test_counts_match_multinomial(self, sys_, n, alpha, kappa):
-        kc = type_of(Word.from_string(kappa), sys_.m).counts if kappa \
-            else (0,) * sys_.m
+        kc = symbol_counts(kappa or "", sys_.m)
         free = n - sum(kc)
         rows = block_alphabet(sys_, n, alpha, kappa).rows
         assert len(rows) > 100
@@ -608,6 +559,15 @@ class TestBlockAlphabet:
         with pytest.raises(DomainError):
             block_alphabet(s1, 0)
 
+    @pytest.mark.parametrize("n", [2.5, 4.0, "4", None])
+    def test_non_integer_length(self, s1, n):
+        with pytest.raises(DomainError, match="must be an integer"):
+            block_alphabet(s1, n)
+
+    def test_numpy_integer_length(self, s1):
+        assert block_alphabet(s1, np.int64(6)).rows == \
+            block_alphabet(s1, 6).rows
+
     def test_tail_longer_than_block(self, s1):
         with pytest.raises(DomainError):
             block_alphabet(s1, 2, kappa="12121")
@@ -686,11 +646,7 @@ class TestNearOptimalTypes:
     def test_type_attains_spectrum(self, s1, alpha):
         target = f_oracle(alpha) if alpha <= ALPHA_AT_0 else 1.0
         gamma = block_alphabet(s1, 2000, alpha)
-        best = 0.0
-        for row in gamma.rows:
-            ef = entropy_functionals(s1, TypeVector(row.counts))
-            if ef.lyapunov > 0.0:
-                best = max(best, ef.entropy / ef.lyapunov)
+        best = max(entropy_over_lyapunov(s1, row.counts) for row in gamma.rows)
         assert best >= target - 0.05
 
 
@@ -939,6 +895,13 @@ class TestMoran:
         with pytest.raises(DomainError):
             moran_dimension(spec, 21)
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, math.nan])
+    def test_non_integer_stage(self, s1, k):
+        spec = moran_construct(s1, 1.2, 0.05, 16)
+        with pytest.raises(DomainError, match="must be an integer"):
+            moran_dimension(spec, k)
+        assert moran_dimension(spec, np.int64(2)) == moran_dimension(spec, 2)
+
     def test_json_dict_fields(self, s1):
         spec = moran_construct(s1, 1.2, 0.05, 16)
         d = spec.to_json_dict()
@@ -973,6 +936,11 @@ class TestAbundance:
     def test_bad_delta(self, s1):
         with pytest.raises(DomainError):
             abundance_report(s1, 8, 0.0)
+
+    @pytest.mark.parametrize("n", [2.5, 8.0])
+    def test_non_integer_length(self, s1, n):
+        with pytest.raises(DomainError, match="must be an integer"):
+            abundance_report(s1, n, 0.5)
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf])
     def test_non_finite_delta(self, s1, delta):
