@@ -10,7 +10,6 @@ from .errors import (
     BracketError,
     BudgetError,
     ConsistencyError,
-    DenominatorError,
     DomainError,
     EmptyAlphabetError,
     EmptyWordError,
@@ -69,6 +68,7 @@ from .symbolic import (
     moran_dimension,
     subshift_dimension,
     type_class_log_count,
+    window_sups,
 )
 from .system import (
     WeightedSystem,

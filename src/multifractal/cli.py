@@ -32,6 +32,7 @@ from .symbolic import (
     greedy_word,
     moran_construct,
     moran_dimension,
+    window_sups,
 )
 from .system import Word, load_system, word_stats
 from .tables import emit_object, emit_table
@@ -235,13 +236,13 @@ def _run_assouad_word(sys_, ns):
     word = Word.from_string(ns.word)
     if ns.length is not None and ns.length > len(word):
         word = Word.periodic(word, ns.length)
-    est = assouad_estimate(sys_, word, ns.windows)
+    lo, hi = ns.windows
     if ns.per_window:
-        rows = [{"n": int(n), "sup_ratio": float(s)}
-                for n, s in zip(est.ns, est.per_n_sup)]
+        rows = [{"n": n, "sup_ratio": float(s)} for n, s in
+                enumerate(window_sups(sys_, word, ns.windows), start=lo)]
         emit_table(rows, ns.format, ns.output)
     else:
-        lo, hi = ns.windows
+        est = assouad_estimate(sys_, word, ns.windows)
         emit_table([{"length": len(word), "window_lo": lo, "window_hi": hi,
                      "estimate": est.estimate}], ns.format, ns.output)
 
@@ -305,9 +306,6 @@ def run(config: argparse.Namespace) -> int:
     try:
         config.run(load_system(config.system), config)
         return 0
-    except UsageError as exc:
-        print(f"UsageError: {exc}", file=sys.stderr)
-        return 2
     except MultifractalError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

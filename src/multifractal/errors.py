@@ -41,10 +41,6 @@ class ConsistencyError(MultifractalError):
     """Two independent evaluations of the same quantity disagree."""
 
 
-class DenominatorError(MultifractalError):
-    """A frequency vector is not representable with the requested denominator."""
-
-
 class PrefixTooShort(MultifractalError):
     """The supplied word prefix is shorter than a requested depth."""
 
@@ -84,4 +80,4 @@ class UsageError(MultifractalError):
 
 
 class IoError(MultifractalError):
-    """Reading or writing an output sink failed."""
+    """Reading a system file or writing an output sink failed."""

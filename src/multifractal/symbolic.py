@@ -8,8 +8,9 @@ are astronomically large.
 The estimators here work on finite prefixes. assouad_estimate takes the
 largest window exponent over the top quartile of the requested window
 lengths, the finite-data surrogate for the limsup over window lengths, and
-scans only those lengths; the per-length suprema over the whole range are
-scanned when per_n_sup is first read.
+scans only those lengths; window_sups scans the per-length suprema over the
+whole range. Results are plain frozen records, each field computed once by
+the function that returns it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -27,7 +27,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BudgetError,
-    DenominatorError,
     DomainError,
     EmptyAlphabetError,
     NeedLargerN,
@@ -55,7 +54,7 @@ BIT_BUDGET = 20_000_000
 WALK_BLOCK = 1024
 # float cells per sum in the window scan's buffer: window lengths are
 # scanned in batches that fit, one length at a time for longer words. The
-# call scans the top quartile of its range, per_n_sup the whole range.
+# estimate scans the top quartile of its range, window_sups the whole range.
 # Larger buffers scan a little faster but raise the resident set.
 SCAN_CELLS = 1 << 14
 
@@ -79,23 +78,18 @@ class TypeClassCount:
     upper: float
 
 
-def type_class_log_count(n: int, freqs) -> TypeClassCount:
-    """Exact log type-class size with its entropy sandwich at length n.
+def type_class_log_count(counts: Sequence[int]) -> TypeClassCount:
+    """Exact log size of the type class with these symbol counts, and its
+    entropy sandwich.
 
-    The class is counted inside the full shift, so the sandwich is
+    The class is counted inside the full shift at length n = sum(counts), so
+    with q = counts / n the sandwich is
     n*H(q) - (m+1)*log(n+1) <= log #T <= n*H(q).
     """
-    tol = 1e-9 * max(1, n)
-    counts = []
-    for x in freqs:
-        k = float(x * n)
-        k_int = round(k)
-        if abs(k - k_int) > tol:
-            raise DenominatorError(f"frequency {x} is not a multiple of 1/{n}")
-        counts.append(k_int)
-    if sum(counts) != n:
-        raise DenominatorError("frequencies do not sum to one at this n")
-    m = len(counts)
+    counts = [as_index("symbol count", c) for c in counts]
+    if not counts or min(counts) < 0:
+        raise DomainError("need one or more nonnegative symbol counts")
+    n, m = sum(counts), len(counts)
     count = _multinomial(n, counts)
     total = 0.0  # sum of f log f over the frequencies, 0 log 0 = 0
     for c in counts:
@@ -156,35 +150,8 @@ def _window_sups(sys_: WeightedSystem, word: Word, n_lo: int,
     return sups
 
 
-@dataclass(frozen=True)
-class AssouadEstimate:
-    """Window-scan estimate of the pointwise Assouad exponent along a word.
-
-    The call scans only the top quartile of the window range, the lengths
-    the estimate reads; per_n_sup scans every length on first read, from
-    the system and word held here.
-    """
-
-    system: WeightedSystem = field(repr=False)
-    word: Word = field(repr=False)
-    ns: np.ndarray
-    estimate: float
-    window_range: tuple[int, int]
-
-    @cached_property
-    def per_n_sup(self) -> np.ndarray:
-        """Supremum of the window exponents at each length in ns."""
-        return _window_sups(self.system, self.word, *self.window_range)
-
-
-def assouad_estimate(sys_: WeightedSystem, word: Word,
-                     window_range: tuple[int, int]) -> AssouadEstimate:
-    """Sliding-window estimator of the pointwise Assouad exponent.
-
-    per_n_sup[n] is the supremum of log p_a / log r_a over all length-n
-    windows of the prefix; the estimate is the largest of them over the top
-    quartile of the window range, where finite-length bias is smallest.
-    """
+def _window_range(word: Word, window_range) -> tuple[int, int]:
+    """The range as two Python ints, checked to fit the word."""
     try:
         n_lo, n_hi = map(operator.index, window_range)
     except (TypeError, ValueError) as exc:
@@ -195,10 +162,38 @@ def assouad_estimate(sys_: WeightedSystem, word: Word,
         raise WindowRangeError(
             f"window range [{n_lo}, {n_hi}] does not fit a prefix of "
             f"length {len(word)}")
+    return n_lo, n_hi
+
+
+def window_sups(sys_: WeightedSystem, word: Word,
+                window_range: tuple[int, int]) -> np.ndarray:
+    """Supremum of log p_a / log r_a over the length-n windows a of the word,
+    for each n in the window range, in order."""
+    return _window_sups(sys_, word, *_window_range(word, window_range))
+
+
+@dataclass(frozen=True)
+class AssouadEstimate:
+    """Window-scan estimate of the pointwise Assouad exponent along a word."""
+
+    ns: np.ndarray = field(compare=False)
+    estimate: float
+    window_range: tuple[int, int]
+
+
+def assouad_estimate(sys_: WeightedSystem, word: Word,
+                     window_range: tuple[int, int]) -> AssouadEstimate:
+    """Sliding-window estimator of the pointwise Assouad exponent.
+
+    The estimate is the largest of the window_sups over the top quartile of
+    the window range, where finite-length bias is smallest; only those
+    lengths are scanned.
+    """
+    n_lo, n_hi = _window_range(word, window_range)
     ns = np.arange(n_lo, n_hi + 1)
     top = 3 * ns.size // 4  # 0 for a single length
     estimate = float(_window_sups(sys_, word, n_lo + top, n_hi).max())
-    return AssouadEstimate(sys_, word, ns, estimate, (n_lo, n_hi))
+    return AssouadEstimate(ns, estimate, (n_lo, n_hi))
 
 
 def _compositions(total: int, parts: int) -> Iterator[np.ndarray]:
@@ -243,7 +238,8 @@ class BlockAlphabet:
 
     The base is either the full shift or the tail-appended family
     {w + kappa : w of length n - |kappa|}. When alpha_cap is set only types
-    with log p / log r <= alpha_cap are kept.
+    with log p / log r <= alpha_cap are kept. block_count sums the rows'
+    counts; log_terms holds (log #a, log r_a) per row, read-only.
     """
 
     system: WeightedSystem
@@ -251,30 +247,9 @@ class BlockAlphabet:
     kappa: Word | None
     alpha_cap: float | None
     rows: tuple[TypeRow, ...] = field(repr=False)
-
-    @cached_property
-    def block_count(self) -> int:
-        return sum(row.count for row in self.rows)
-
-    @cached_property
-    def log_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row log block count and log ratio, computed once."""
-        log_counts = np.array([math.log(row.count) for row in self.rows])
-        log_rs = np.array([row.log_r for row in self.rows])
-        log_counts.flags.writeable = log_rs.flags.writeable = False
-        return log_counts, log_rs
-
-    @property
-    def alpha_min(self) -> float:
-        if not self.rows:
-            raise EmptyAlphabetError("alphabet has no blocks")
-        return min(row.ratio for row in self.rows)
-
-    @property
-    def alpha_max(self) -> float:
-        if not self.rows:
-            raise EmptyAlphabetError("alphabet has no blocks")
-        return max(row.ratio for row in self.rows)
+    block_count: int = field(repr=False)
+    log_terms: tuple[np.ndarray, np.ndarray] = field(repr=False,
+                                                      compare=False)
 
 
 def _kappa_counts(kappa: Word | None, m: int) -> tuple[int, ...]:
@@ -287,6 +262,22 @@ def _kappa_counts(kappa: Word | None, m: int) -> tuple[int, ...]:
     return tuple(np.bincount(kappa.symbols, minlength=m + 1)[1:].tolist())
 
 
+def _family(sys_: WeightedSystem, n: int, kappa: Word | str | None
+            ) -> tuple[int, Word | None, tuple[int, ...], int]:
+    """Checked block length and tail, the tail's counts and the free letters."""
+    n = as_index("block length", n)
+    if n < 1:
+        raise DomainError("block length must be positive")
+    if isinstance(kappa, str):
+        kappa = Word.from_string(kappa)
+    kappa = kappa or None  # an empty tail is no tail
+    kc = _kappa_counts(kappa, sys_.m)
+    free = n - sum(kc)
+    if free < 0:
+        raise DomainError(f"tail of length {n - free} does not fit in n={n}")
+    return n, kappa, kc, free
+
+
 def block_alphabet(sys_: WeightedSystem, n: int, alpha: float | None = None,
                    kappa: Word | str | None = None) -> BlockAlphabet:
     """Type-level description of the length-n blocks with exponent <= alpha.
@@ -295,16 +286,8 @@ def block_alphabet(sys_: WeightedSystem, n: int, alpha: float | None = None,
     full shift to the tail-appended family ending in kappa. The latest family
     walked is kept, so a repeated call returns the same alphabet object.
     """
-    n = as_index("block length", n)
-    if n < 1:
-        raise DomainError("block length must be positive")
-    if isinstance(kappa, str):
-        kappa = Word.from_string(kappa)
-    kappa = kappa or None  # an empty tail is no tail
+    n, kappa, _, free = _family(sys_, n, kappa)
     m = sys_.m
-    free = n - sum(_kappa_counts(kappa, m))
-    if free < 0:
-        raise DomainError(f"tail of length {n - free} does not fit in n={n}")
     n_types = math.comb(free + m - 1, m - 1)
     # an int compares exactly with a float, so a huge n_types cannot overflow
     if n_types * free > BIT_BUDGET / math.log2(m):
@@ -336,7 +319,7 @@ def _walk(sys_: WeightedSystem, n: int, alpha: float | None,
     falling = np.array(list(itertools.accumulate(
         range(free, -(-free // m), -1), operator.mul, initial=1)),
         dtype=object)
-    rows = []
+    rows, log_counts, log_rs = [], [], []
     for comps in _compositions(free, m):
         counts = comps + tail
         log_p, log_r = (counts.astype(float) @ logs).T
@@ -348,10 +331,16 @@ def _walk(sys_: WeightedSystem, n: int, alpha: float | None,
         at = np.arange(len(comps)), comps.argmax(axis=1)
         top = comps[at]
         comps[at] = 0  # leaves the other parts, whose factorials divide
-        sizes = falling[free - top] // fact[comps].prod(axis=1)
-        rows.extend(map(TypeRow, map(tuple, counts.tolist()), sizes.tolist(),
-                        log_p.tolist(), log_r.tolist(), ratio.tolist()))
-    return BlockAlphabet(sys_, n, kappa, alpha, tuple(rows))
+        sizes = (falling[free - top] // fact[comps].prod(axis=1)).tolist()
+        log_r = log_r.tolist()
+        rows.extend(map(TypeRow, map(tuple, counts.tolist()), sizes,
+                        log_p.tolist(), log_r, ratio.tolist()))
+        log_counts.extend(map(math.log, sizes))
+        log_rs.extend(log_r)
+    log_terms = np.array(log_counts), np.array(log_rs)
+    log_terms[0].flags.writeable = log_terms[1].flags.writeable = False
+    return BlockAlphabet(sys_, n, kappa, alpha, tuple(rows),
+                         sum(row.count for row in rows), log_terms)
 
 
 def gamma_n_alpha(sys_: WeightedSystem, n: int, alpha: float,
@@ -413,7 +402,8 @@ class MoranSpec:
     """One interleaved Moran construction: blocks, spine, and stage lengths.
 
     Stage k covers the spine's first k n letters with m_1 + ... + m_k
-    blocks; each stage quantity below is computed once, on first use.
+    blocks. stage_log_r[k - 1] is log r of those letters, stage_lengths[k - 1]
+    is m_k, and stage_totals holds the running sums of both.
     """
 
     system: WeightedSystem
@@ -423,42 +413,10 @@ class MoranSpec:
     s: float
     blocks: BlockAlphabet
     spine: Word
-
-    @cached_property
-    def stage_log_r(self) -> np.ndarray:
-        """log r of the spine's first k n letters, for k = 1..stages."""
-        _, lr = word_log_arrays(self.system, self.spine)
-        return np.cumsum(lr)[self.n - 1::self.n].copy()
-
-    @cached_property
-    def stage_lengths(self) -> tuple[int, ...]:
-        """Least m_k >= 1 with m_k * gain + s * stage_log_r[k] > 0."""
-        log_counts, log_rs = self.blocks.log_terms
-        gain = logsumexp(log_counts + self.s * log_rs)  # > 0 unless rounding ate it
-        ms = []
-        for k, log_r in enumerate(self.stage_log_r, start=1):
-            # the test is monotone in m
-            penalty = self.s * float(log_r)
-            quotient = -penalty / gain if gain > 0.0 else math.inf
-            if not quotient <= 2.0 ** 53:
-                raise BudgetError(f"stage {k} would need {quotient:.3g} blocks")
-            m_k = math.floor(max(quotient, 0.0)) + 1
-            while m_k > 1 and (m_k - 1) * gain + penalty > 0.0:
-                m_k -= 1
-            while m_k * gain + penalty <= 0.0:
-                m_k += 1
-            ms.append(m_k)
-        return tuple(ms)
-
-    @cached_property
-    def growth_constant(self) -> float:
-        return max(m / k for k, m in enumerate(self.stage_lengths, start=1))
-
-    @cached_property
-    def stage_totals(self) -> tuple[list[int], np.ndarray]:
-        """Running sums of stage_lengths and of stage_log_r."""
-        return (list(itertools.accumulate(self.stage_lengths)),
-                np.cumsum(self.stage_log_r))
+    stage_log_r: np.ndarray = field(repr=False, compare=False)
+    stage_lengths: tuple[int, ...]
+    stage_totals: tuple[list[int], np.ndarray] = field(repr=False,
+                                                       compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -509,9 +467,28 @@ def moran_construct(sys_: WeightedSystem, alpha: float, eps: float, n: int,
             f"blocks of length {n} reach dimension {achieved:.6f}, "
             f"need > {required:.6f}", achieved=achieved, required=required)
     spine = Word(np.repeat(greedy_word(sys_, alpha, stages).symbols, n))
-    spec = MoranSpec(sys_, n, alpha, eps, fb - eps, gamma, spine)
-    spec.stage_lengths  # raises any BudgetError here, not on first use
-    return spec
+    s = fb - eps
+    _, lr = word_log_arrays(sys_, spine)
+    stage_log_r = np.cumsum(lr)[n - 1::n].copy()
+    # m_k is the least m >= 1 with m * gain + s * stage_log_r[k - 1] > 0
+    log_counts, log_rs = gamma.log_terms
+    gain = logsumexp(log_counts + s * log_rs)  # > 0 unless rounding ate it
+    lengths = []
+    for k, log_r in enumerate(stage_log_r, start=1):
+        # the test is monotone in m
+        penalty = s * float(log_r)
+        quotient = -penalty / gain if gain > 0.0 else math.inf
+        if not quotient <= 2.0 ** 53:
+            raise BudgetError(f"stage {k} would need {quotient:.3g} blocks")
+        m_k = math.floor(max(quotient, 0.0)) + 1
+        while m_k > 1 and (m_k - 1) * gain + penalty > 0.0:
+            m_k -= 1
+        while m_k * gain + penalty <= 0.0:
+            m_k += 1
+        lengths.append(m_k)
+    totals = list(itertools.accumulate(lengths)), np.cumsum(stage_log_r)
+    return MoranSpec(sys_, n, alpha, eps, s, gamma, spine, stage_log_r,
+                     tuple(lengths), totals)
 
 
 def moran_dimension(spec: MoranSpec, k: int) -> float:
@@ -549,18 +526,21 @@ def abundance_report(sys_: WeightedSystem, n: int, delta: float,
     """
     if not 0.0 < delta <= 1.0:
         raise DomainError("delta must lie in (0, 1]")
-    gamma = block_alphabet(sys_, n, None, kappa)
-    m = sys_.m
-    kc = _kappa_counts(gamma.kappa, m)
-    free = n - sum(kc)
+    n, kappa, kc, free = _family(sys_, n, kappa)
+    if n > 2 ** 53:  # q*n then misses by more than the repair loop can mend
+        raise SizeCapError("the delta-net check takes n up to 2**53")
     if free < 1:
         raise DomainError(f"n={n} leaves no free positions after the tail")
-    # #T_family / #T_full = prod_i perm(c_i, k_i) / perm(n, |kappa|) over the
-    # row's counts c_i and the tail's k_i; the denominator is common to every
-    # row, so the exact minimum is taken over the numerators alone
-    least = min(math.prod(math.perm(c, k) for c, k in zip(row.counts, kc))
-                for row in gamma.rows)
+    # #T_family / #T_full = prod_i perm(k_i + c_i, k_i) / perm(n, |kappa|)
+    # over the tail's counts k_i and the type's free letters c_i. Each log
+    # perm(k_i + c_i, k_i) is concave in c_i, so the least numerator over
+    # the compositions c of free lies at a vertex: all free letters on one
+    # symbol i, giving perm(k_i + free, k_i) * prod_{j != i} k_j!
+    rest = math.prod(map(math.factorial, kc))
+    least = min(math.perm(k + free, k) * (rest // math.factorial(k))
+                for k in kc)
     a1 = min(1.0, least / math.perm(n, n - free))
+    m = sys_.m
     big_d = math.ceil(2 * m / delta)
     if math.comb(big_d - 1, m - 1) > TYPE_CAP:
         raise SizeCapError("delta-net is too fine for this alphabet size")
@@ -575,7 +555,7 @@ def abundance_report(sys_: WeightedSystem, n: int, delta: float,
         if dist > delta / 2.0 + 1e-12:
             a2 = False
             break
-    return AbundanceReport(n, delta, str(gamma.kappa or ""), a1, a2)
+    return AbundanceReport(n, delta, str(kappa or ""), a1, a2)
 
 
 def _nearest_free_counts(q: Sequence[float], n: int, kc: Sequence[int],

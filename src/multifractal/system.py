@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -27,6 +26,7 @@ from .errors import (
     DomainError,
     EmptyWordError,
     FormatError,
+    IoError,
     OverlapError,
     RangeError,
     WeightSumError,
@@ -170,18 +170,19 @@ def _from_mapping(doc: Mapping) -> WeightedSystem:
 
 
 def load_system(source) -> WeightedSystem:
-    """Load a system from a JSON file path, JSON text, or mapping."""
+    """Load a system from a JSON file path or a mapping.
+
+    A file that cannot be read raises IoError, one that is not UTF-8 or not
+    a JSON object FormatError.
+    """
     if isinstance(source, Mapping):
         return _from_mapping(source)
-    # os.path.isfile, unlike Path.exists, is False for a name too long
-    if isinstance(source, (str, Path)) and "\n" not in str(source) \
-            and os.path.isfile(source):
-        try:
-            text = Path(source).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"system file is not UTF-8: {exc}") from exc
-    else:
-        text = str(source)
+    try:
+        text = Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"system file is not UTF-8: {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:  # ValueError: a NUL byte
+        raise IoError(f"cannot read system file {source!r}: {exc}") from exc
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting

@@ -142,7 +142,7 @@ def test_criterion_04_method_of_types(report):
     for m in (2, 3, 4):
         for n in range(1, 61):
             for comp in compositions(n, m):
-                tc = type_class_log_count(n, [c / n for c in comp])
+                tc = type_class_log_count(comp)
                 checks += 1
                 if not (tc.lower - 1e-12 <= tc.exact_log <= tc.upper + 1e-12):
                     ok = False

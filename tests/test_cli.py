@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import multifractal
 
-from multifractal import UsageError, dump_system
+from multifractal import UsageError, dump_system, symbolic
 from multifractal.cli import main, parse_config, parse_linear_grid, parse_scale_grid
 
 A_AT_0 = 1.0849625007211563
@@ -175,10 +175,10 @@ class TestExitCodes:
         assert err.startswith("UsageError:") and err.count("\n") == 1
 
     def test_oversized_block_family_is_one(self, s1_path):
-        # 15999 types of 15998 free letters: over the bit budget, refused
+        # 16001 types of 16000 free letters: over the bit budget, refused
         # before the type walk, which would otherwise run for minutes
-        res = run_cli_process(["abundance", "-s", s1_path, "--n", "16000",
-                               "--delta", "0.25"])
+        res = run_cli_process(["moran", "-s", s1_path, "--alpha", "1.0",
+                               "--epsilon", "0.1", "--n", "16000"])
         assert res.returncode == 1 and res.stdout == ""
         assert res.stderr.startswith("SizeCapError:")
         assert res.stderr.count("\n") == 1
@@ -311,6 +311,26 @@ class TestWordCommands:
         assert lines[0] == "n,sup_ratio"
         assert len(lines) == 32
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_per_window_scans_each_length_once(self, capsys, s1_path,
+                                               monkeypatch, fmt):
+        scans = []
+        scan = symbolic._window_sups
+
+        def counting(*args):
+            scans.append(args[2:])
+            return scan(*args)
+
+        monkeypatch.setattr(symbolic, "_window_sups", counting)
+        code, out, _ = run_cli(capsys, ["assouad-word", "-s", s1_path,
+                                        "--word", "122", "--length", "900",
+                                        "--windows", "100:800", "--per-window",
+                                        "--format", fmt])
+        assert code == 0 and scans == [(100, 800)]
+        rows = (json.loads(out) if fmt == "json"
+                else out.splitlines()[1:])
+        assert len(rows) == 701
+
 
 class TestJsonCommands:
     def test_witness_round_trip(self, capsys, s1_path):
@@ -436,8 +456,8 @@ def test_import_leaves_scipy_unloaded():
 # -- any argv -----------------------------------------------------------------
 # Values per flag: finite, boundary, NaN, infinite, malformed and empty; the
 # first of each pool works, and an example varies up to two flags. Sizes stay
-# small; a huge count appears only where argv parsing refuses it before
-# anything is allocated or looped over.
+# small; a huge count appears only where it is refused before anything is
+# allocated or looped over.
 
 _REAL = ["0", "-1", "0.5", "1", "2", "16", "1e-300", "1e400", "-1e400", "nan",
          "inf", "-inf", "abc", "", "1,5"]
@@ -472,7 +492,8 @@ _FLAGS = {
                      "--min-ratio": ["4"] + _REAL, "--rel-tol": ["1e-9"] + _REAL},
     "witness": {"--n-target": ["64"] + _REAL + ["1e308"],
                 "--depth-cap": ["32"] + _COUNT + ["2000", _HUGE]},
-    "abundance": {"--n": ["8"] + _COUNT, "--delta": ["0.25"] + _REAL,
+    "abundance": {"--n": ["8"] + _COUNT + [_HUGE],
+                  "--delta": ["0.25"] + _REAL,
                   "--kappa": _WORDS},
 }
 _SYSTEMS = {

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from multifractal import (
     BudgetError,
-    DenominatorError,
     DomainError,
     EmptyAlphabetError,
     NeedLargerN,
@@ -36,6 +35,7 @@ from multifractal import (
     moran_dimension,
     subshift_dimension,
     type_class_log_count,
+    window_sups,
     word_stats,
 )
 from multifractal import symbolic
@@ -143,7 +143,7 @@ def random_weighted_system(m, rng):
 
 
 def per_length_scan(sys_, word, n_lo, n_hi):
-    """assouad_estimate's per_n_sup, one window length at a time."""
+    """window_sups, one window length at a time."""
     lp, lr = word_log_arrays(sys_, word)
     cp = np.concatenate([[0.0], np.cumsum(lp)])
     cr = np.concatenate([[0.0], np.cumsum(lr)])
@@ -230,20 +230,26 @@ class TestKappaCounts:
 
 class TestTypeClassCount:
     def test_exact_binomial(self):
-        tc = type_class_log_count(8, [3 / 8, 5 / 8])
+        tc = type_class_log_count([3, 5])
         assert tc.count == math.comb(8, 3)
         assert tc.exact_log == pytest.approx(math.log(56))
 
-    def test_non_lattice_frequency(self):
-        with pytest.raises(DenominatorError):
-            type_class_log_count(8, [0.3, 0.7])
+    @pytest.mark.parametrize("counts", [[3.0, 5], [0.3, 0.7], ["3", 5],
+                                        [3, -1], []])
+    def test_counts_must_be_nonnegative_integers(self, counts):
+        with pytest.raises(DomainError):
+            type_class_log_count(counts)
+
+    def test_numpy_integer_counts(self):
+        assert type_class_log_count(np.array([3, 5])) == \
+            type_class_log_count([3, 5])
 
     @given(st.integers(2, 60), st.integers(0, 60))
     @settings(max_examples=60, deadline=None)
     def test_entropy_sandwich(self, n, k):
         if k > n:
             k = k % (n + 1)
-        tc = type_class_log_count(n, [k / n, (n - k) / n])
+        tc = type_class_log_count([k, n - k])
         assert tc.lower - 1e-12 <= tc.exact_log <= tc.upper + 1e-12
 
 
@@ -287,15 +293,15 @@ class TestAssouadEstimate:
             seed = int(rng.integers(1 << 30))
             word = Word(np.random.default_rng(seed).choice(
                 sys_.m, size=400, p=freqs) + 1)
-            est = assouad_estimate(sys_, word, (5, 50))
-            assert est.per_n_sup.min() >= a_lo - 1e-12
-            assert est.per_n_sup.max() <= a_hi + 1e-12
+            sups = window_sups(sys_, word, (5, 50))
+            assert sups.min() >= a_lo - 1e-12
+            assert sups.max() <= a_hi + 1e-12
 
     def test_constant_word_is_exact(self, s1):
         w = Word.periodic("1", 500)
         est = assouad_estimate(s1, w, (10, 100))
         assert est.estimate == pytest.approx(A_MAX, abs=1e-12)
-        assert np.allclose(est.per_n_sup, A_MAX)
+        assert np.allclose(window_sups(s1, w, (10, 100)), A_MAX)
 
     def test_periodic_word_matches_pattern_ratio(self, s1):
         w = Word.periodic("12", 10_000)
@@ -304,9 +310,10 @@ class TestAssouadEstimate:
         assert abs(est.estimate - want) <= 5e-3
 
     def test_window_grid_shape(self, s1):
-        est = assouad_estimate(s1, Word.periodic("12", 100), (5, 20))
-        assert est.ns.tolist() == list(range(5, 21))
-        assert est.per_n_sup.size == 16
+        w = Word.periodic("12", 100)
+        assert assouad_estimate(s1, w, (5, 20)).ns.tolist() == \
+            list(range(5, 21))
+        assert window_sups(s1, w, (5, 20)).size == 16
 
     @pytest.mark.parametrize("cells", [1, 50, 333, None])
     def test_batched_scan_matches_per_length_loop(self, cells, monkeypatch):
@@ -316,8 +323,7 @@ class TestAssouadEstimate:
         for sys_, length, lo, hi in [(M3, 300, 1, 300), (M4, 500, 20, 140),
                                      (M4, 64, 64, 64), (M3, 2000, 400, 700)]:
             word = Word(rng.integers(1, sys_.m + 1, length))
-            est = assouad_estimate(sys_, word, (lo, hi))
-            assert np.array_equal(est.per_n_sup,
+            assert np.array_equal(window_sups(sys_, word, (lo, hi)),
                                   per_length_scan(sys_, word, lo, hi))
 
     @pytest.mark.parametrize("rng", [(0, 5), (5, 3), (5, 200), (5.5, 20.9),
@@ -326,12 +332,16 @@ class TestAssouadEstimate:
     def test_bad_window_range(self, s1, rng):
         with pytest.raises(WindowRangeError):
             assouad_estimate(s1, Word.periodic("12", 100), rng)
+        with pytest.raises(WindowRangeError):
+            window_sups(s1, Word.periodic("12", 100), rng)
 
     def test_numpy_integer_window_range(self, s1):
         w = Word.periodic("12", 100)
         est = assouad_estimate(s1, w, (np.int64(5), np.int32(20)))
         assert est.window_range == (5, 20)
         assert est.estimate == assouad_estimate(s1, w, (5, 20)).estimate
+        assert np.array_equal(window_sups(s1, w, (np.int64(5), np.int32(20))),
+                              window_sups(s1, w, (5, 20)))
 
     @pytest.mark.parametrize("cells", [1, 50, 333, None])
     @settings(max_examples=40, deadline=None)
@@ -349,21 +359,10 @@ class TestAssouadEstimate:
             if cells is not None:
                 mp.setattr(symbolic, "SCAN_CELLS", cells)
             est = assouad_estimate(sys_, word, (lo, hi))
-            sups = est.per_n_sup
+            sups = window_sups(sys_, word, (lo, hi))
         want = per_length_scan(sys_, word, lo, hi)
         assert np.array_equal(sups, want)
         assert est.estimate == want[top_quartile(want.size):].max()
-
-    def test_lower_rows_scanned_on_first_read(self):
-        rng = np.random.default_rng(43)
-        word = Word(rng.integers(1, 4, 1500))
-        est = assouad_estimate(M3, word, (100, 900))
-        assert "per_n_sup" not in vars(est)
-        arrays = [k for k, v in vars(est).items() if isinstance(v, np.ndarray)]
-        assert arrays == ["ns"]  # no prefix sums outlive the call
-        assert np.array_equal(est.per_n_sup,
-                              per_length_scan(M3, word, 100, 900))
-        assert est.per_n_sup is est.per_n_sup
 
     @pytest.mark.parametrize("lo, hi", [(1, 1), (10, 11), (10, 12),
                                         (100, 900), (500, 1000)])
@@ -380,9 +379,14 @@ class TestAssouadEstimate:
         est = assouad_estimate(s1, Word.periodic("122", 1000), (lo, hi))
         size = est.ns.size
         assert scanned == [size - top_quartile(size)]
-        est.per_n_sup
-        est.per_n_sup
-        assert scanned == [size - top_quartile(size), size]
+
+    def test_estimate_is_a_plain_record(self, s1):
+        w = Word.periodic("122", 1000)
+        est = assouad_estimate(s1, w, (100, 900))
+        assert list(vars(est)) == ["ns", "estimate", "window_range"]
+        again = assouad_estimate(s1, w, (100, 900))
+        assert est == again and hash(est) == hash(again)
+        assert est != assouad_estimate(s1, w, (100, 899))
 
 
 class TestBlockAlphabet:
@@ -544,16 +548,27 @@ class TestBlockAlphabet:
         assert 0 < len(gamma.rows) < 1000
         assert peak < 1.5e6
 
-    def test_exponent_extremes(self, s1):
-        gamma = block_alphabet(s1, 4, None)
-        assert gamma.alpha_min == pytest.approx(A_MIN)
-        assert gamma.alpha_max == pytest.approx(A_MAX)
+    @pytest.mark.parametrize("sys_, n, alpha, kappa", [
+        (WeightedSystem((1 / 3, 2 / 3), (0.5, 0.5)), 4, 0.5, None),
+        (WeightedSystem((1 / 3, 2 / 3), (0.5, 0.5)), 10, 1.0, None),
+        (M3, 12, 0.9, "1231"), (M4, 9, None, None)])
+    def test_fields_are_filled_by_the_walk(self, sys_, n, alpha, kappa):
+        gamma = block_alphabet(sys_, n, alpha, kappa)
+        log_counts, log_rs = gamma.log_terms
+        assert gamma.block_count == sum(row.count for row in gamma.rows)
+        assert np.array_equal(log_counts, np.array(
+            [math.log(row.count) for row in gamma.rows]))
+        assert np.array_equal(log_rs, np.array(
+            [row.log_r for row in gamma.rows]))
+        assert not (log_counts.flags.writeable or log_rs.flags.writeable)
 
-    def test_empty_alphabet_properties_raise(self, s1):
-        gamma = block_alphabet(s1, 4, 0.5)
-        assert gamma.block_count == 0
-        with pytest.raises(EmptyAlphabetError):
-            gamma.alpha_min
+    def test_equal_alphabets_compare_and_hash_alike(self, s1):
+        a = block_alphabet(s1, 9, 1.1, "12")
+        symbolic._walk.cache_clear()  # a fresh walk, not the memo
+        b = block_alphabet(s1, 9, 1.1, "12")
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != block_alphabet(s1, 9, 1.0, "12")
+        assert block_alphabet(s1, 4, 0.5).block_count == 0
 
     def test_bad_length(self, s1):
         with pytest.raises(DomainError):
@@ -744,8 +759,19 @@ class TestMoran:
         assert len(spec.stage_lengths) == 20
         assert all(m >= 1 for m in spec.stage_lengths)
         assert len(spec.spine) == 20 * 16
-        assert spec.growth_constant == pytest.approx(
-            max(m / k for k, m in enumerate(spec.stage_lengths, start=1)))
+
+    def test_spec_is_a_plain_record(self, s1):
+        spec = moran_construct(s1, 1.2, 0.05, 16)
+        symbolic._walk.cache_clear()  # rebuild from a fresh walk
+        again = moran_construct(s1, 1.2, 0.05, 16)
+        assert spec is not again and spec == again
+        assert hash(spec) == hash(again)
+        assert spec != moran_construct(s1, 1.2, 0.05, 16, stages=19)
+        _, lr = word_log_arrays(s1, spec.spine)
+        assert np.array_equal(spec.stage_log_r, np.cumsum(lr)[15::16])
+        m_totals, log_r_totals = spec.stage_totals
+        assert m_totals == list(itertools.accumulate(spec.stage_lengths))
+        assert np.array_equal(log_r_totals, np.cumsum(spec.stage_log_r))
 
     @pytest.mark.parametrize("name,n", [("S1", 16), ("S1", 20), ("S1", 64),
                                         ("M3", 12), ("M3", 24), ("M4", 8),
@@ -926,6 +952,43 @@ class TestAbundance:
         want = min(1.0, min(row.count / _multinomial(n, row.counts)
                             for row in rows))
         assert abundance_report(sys_, n, 0.5, kappa).a1_min_ratio == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
+           tail=st.integers(0, 6), extra=st.integers(1, 30))
+    def test_closed_form_a1_matches_the_walk(self, m, seed, tail, extra):
+        rng = np.random.default_rng(seed)
+        sys_ = random_weighted_system(m, rng)
+        kappa = "".join(str(int(c)) for c in rng.integers(1, m + 1, tail))
+        n = tail + extra
+        want = min(1.0, min(row.count / _multinomial(n, row.counts)
+                            for row in block_alphabet(sys_, n, None,
+                                                      kappa).rows))
+        assert abundance_report(sys_, n, 0.5, kappa).a1_min_ratio == want
+
+    def test_report_does_not_walk_the_family(self, s1, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("abundance_report walked the family")
+
+        monkeypatch.setattr(symbolic, "block_alphabet", refuse)
+        monkeypatch.setattr(symbolic, "_walk", refuse)
+        assert abundance_report(s1, 8, 0.25, "12").a1_min_ratio == 0.125
+        assert abundance_report(M3, 60, 0.25, "1231").a1_min_ratio > 0.0
+
+    def test_past_the_bit_budget(self, s1):
+        # the family itself is over BIT_BUDGET; the closed form needs no walk
+        rep = abundance_report(s1, 16000, 0.25, "12")
+        assert rep.a1_min_ratio == 1 / 16000
+
+    def test_largest_length_answers(self, s1):
+        rep = abundance_report(s1, 2 ** 53, 0.3, "12")
+        assert rep.a1_min_ratio == 2.0 ** -53
+
+    @pytest.mark.parametrize("n", [2 ** 53 + 1, 10 ** 30, 10 ** 400])
+    def test_length_past_exact_rounding(self, s1, n):
+        # q*n no longer rounds within one unit, so the net check is refused
+        with pytest.raises(SizeCapError, match="2\\*\\*53"):
+            abundance_report(s1, n, 0.3, "12")
 
     def test_full_family_is_trivial(self, s1):
         assert abundance_report(s1, 8, 0.25).a1_min_ratio == 1.0

@@ -8,6 +8,7 @@ from multifractal import (
     ArityError,
     EmptyWordError,
     FormatError,
+    IoError,
     OverlapError,
     RangeError,
     WeightedSystem,
@@ -96,30 +97,45 @@ class TestSerialization:
         again = load_system(path)
         assert again == s1
 
-    def test_load_from_text(self):
-        sys_ = load_system('{"probs": [0.5, 0.5], "ratios": [0.25, 0.25]}')
+    @staticmethod
+    def load_text(tmp_path, text):
+        path = tmp_path / "sys.json"
+        path.write_text(text)
+        return load_system(path)
+
+    def test_load_from_text(self, tmp_path):
+        sys_ = self.load_text(
+            tmp_path, '{"probs": [0.5, 0.5], "ratios": [0.25, 0.25]}')
         assert sys_.probs == (0.5, 0.5)
 
-    def test_load_rejects_bad_json(self):
+    def test_load_rejects_bad_json(self, tmp_path):
         with pytest.raises(FormatError):
-            load_system("{probs: nope}")
+            self.load_text(tmp_path, "{probs: nope}")
 
-    def test_load_rejects_array_document(self):
+    def test_load_rejects_array_document(self, tmp_path):
         with pytest.raises(FormatError):
-            load_system("[1, 2, 3]")
+            self.load_text(tmp_path, "[1, 2, 3]")
 
     def test_dump_is_json(self, s1):
         doc = json.loads(dump_system(s1))
         assert set(doc) == {"probs", "ratios", "translations"}
 
-    def test_long_one_line_text_is_not_taken_for_a_path(self):
-        doc = {"probs": [1 / 40] * 40, "ratios": [1 / 41] * 40}
-        assert load_system(json.dumps(doc)).m == 40
-
     @pytest.mark.parametrize("text", ["[" * 100_000, "[" * 100_000 + "\n"])
-    def test_too_deep_nesting_is_a_format_error(self, text):
+    def test_too_deep_nesting_is_a_format_error(self, tmp_path, text):
         with pytest.raises(FormatError, match="invalid JSON"):
-            load_system(text)
+            self.load_text(tmp_path, text)
+
+    @pytest.mark.parametrize("name", ["missing.json", ".", "a" * 300],
+                             ids=["missing", "directory", "name-too-long"])
+    def test_unreadable_path_is_an_io_error(self, tmp_path, name):
+        path = str(tmp_path / name)
+        with pytest.raises(IoError, match="cannot read system file") as exc:
+            load_system(path)
+        assert repr(path) in str(exc.value)
+
+    def test_json_text_is_not_a_system(self):
+        with pytest.raises(IoError):
+            load_system('{"probs": [0.5, 0.5], "ratios": [0.25, 0.25]}')
 
     def test_undecodable_file_is_a_format_error(self, tmp_path):
         path = tmp_path / "latin1.json"
