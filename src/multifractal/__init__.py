@@ -75,9 +75,7 @@ from .system import (
     Word,
     WordStats,
     alpha_bounds,
-    dump_system,
     load_system,
-    validate_system,
     word_stats,
 )
 

@@ -79,7 +79,10 @@ def _require_finite(**values: float) -> None:
 
 
 def _finite_scales(scales) -> list[float]:
-    rs = [float(s) for s in scales]
+    try:
+        rs = [float(s) for s in scales]
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"scales must be numbers: {exc}") from exc
     if not all(map(math.isfinite, rs)):
         raise DomainError("scales must be finite")
     if not all(0.0 < r <= 1.0 for r in rs):

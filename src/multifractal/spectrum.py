@@ -173,8 +173,10 @@ def legendre_numeric(sys_: WeightedSystem, alpha, q_grid=None):
     if qs.ndim != 1 or not qs.size:
         raise DomainError(f"q grid must be a nonempty flat sequence, "
                           f"not of shape {qs.shape}")
-    taus = np.array([solve_tau(sys_, q) for q in qs])
     a = np.asarray(alpha, dtype=float)
+    if not np.isfinite(a).all():
+        raise DomainError(f"alpha must be finite, not {alpha!r}")
+    taus = np.array([solve_tau(sys_, q) for q in qs])
     values = a[..., None] * qs + taus
     out = values.min(axis=-1)
     return float(out) if np.isscalar(alpha) or a.ndim == 0 else out

@@ -34,11 +34,13 @@ from .errors import (
     SizeCapError,
     WindowRangeError,
 )
+from .spectrum import f_bar
 from .system import (
     WeightedSystem,
     Word,
     alpha_bounds,
     as_index,
+    check_symbols,
     logsumexp,
     lse_root,
     word_log_arrays,
@@ -256,9 +258,6 @@ def _kappa_counts(kappa: Word | None, m: int) -> tuple[int, ...]:
     """Symbol counts of the tail over m symbols; zeros without a tail."""
     if kappa is None:
         return (0,) * m
-    top = int(kappa.symbols.max())
-    if top > m:
-        raise DomainError(f"word uses symbol {top} but m={m}")
     return tuple(np.bincount(kappa.symbols, minlength=m + 1)[1:].tolist())
 
 
@@ -271,6 +270,8 @@ def _family(sys_: WeightedSystem, n: int, kappa: Word | str | None
     if isinstance(kappa, str):
         kappa = Word.from_string(kappa)
     kappa = kappa or None  # an empty tail is no tail
+    if kappa is not None:
+        check_symbols(sys_, kappa)
     kc = _kappa_counts(kappa, sys_.m)
     free = n - sum(kc)
     if free < 0:
@@ -443,8 +444,6 @@ def moran_construct(sys_: WeightedSystem, alpha: float, eps: float, n: int,
     n cancels in the running exponent, so this is the chase over the blocks
     hi^n and lo^n. Of letters with equal exponent the lowest index is used.
     """
-    from .spectrum import f_bar  # local import avoids a module cycle
-
     a_lo, a_hi = alpha_bounds(sys_)
     if not (a_lo < alpha < a_hi):
         raise DomainError(f"alpha={alpha} outside the open interval "
@@ -453,7 +452,7 @@ def moran_construct(sys_: WeightedSystem, alpha: float, eps: float, n: int,
         raise DomainError("epsilon must be positive")
     if not math.isfinite(eps):
         raise DomainError(f"epsilon={eps} is not finite")
-    if stages < 1:
+    if as_index("stages", stages) < 1:
         raise DomainError("need at least one stage")
     gamma = block_alphabet(sys_, n, alpha)
     fb = f_bar(sys_, alpha)

@@ -13,10 +13,11 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral, Real
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -45,8 +46,8 @@ _SYMBOL_MAX = int(np.iinfo(np.int16).max)
 class WeightedSystem:
     """Probability weights and contraction ratios, plus optional geometry.
 
-    Validation runs on construction and is idempotent: revalidating a valid
-    system never mutates it (weights are refused, not renormalized).
+    Each field takes any iterable of real numbers but bools and is stored as
+    a tuple of floats. Weights are refused, not renormalized.
     """
 
     probs: tuple[float, ...]
@@ -54,6 +55,9 @@ class WeightedSystem:
     translations: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        for name in ("probs", "ratios", "translations"):
+            if name != "translations" or self.translations is not None:
+                object.__setattr__(self, name, _floats(name, getattr(self, name)))
         probs, ratios, trans = self.probs, self.ratios, self.translations
         if len(probs) != len(ratios):
             raise ArityError(
@@ -125,75 +129,53 @@ class WeightedSystem:
     def has_geometry(self) -> bool:
         return self.translations is not None
 
-    def canonical_dict(self) -> dict:
-        doc = {"probs": list(self.probs), "ratios": list(self.ratios)}
-        if self.translations is not None:
-            doc["translations"] = list(self.translations)
-        return doc
 
-
-def validate_system(probs, ratios=None, translations=None) -> WeightedSystem:
-    """Build a WeightedSystem from vectors or from a mapping.
-
-    Accepts either (probs, ratios[, translations]) sequences or a single
-    mapping with exactly those keys. Idempotent on its own output.
-    """
-    if isinstance(probs, WeightedSystem):
-        return probs
-    if isinstance(probs, Mapping):
-        return _from_mapping(probs)
-    if ratios is None:
-        raise ArityError("ratios are required when probs is a sequence")
-    t = None if translations is None else tuple(float(x) for x in translations)
-    return WeightedSystem(tuple(float(x) for x in probs),
-                          tuple(float(x) for x in ratios), t)
-
-
-_ALLOWED_KEYS = {"probs", "ratios", "translations"}
-
-
-def _from_mapping(doc: Mapping) -> WeightedSystem:
-    unknown = set(doc) - _ALLOWED_KEYS
-    if unknown:
-        raise FormatError(f"unknown fields: {sorted(unknown)}")
-    for key in ("probs", "ratios"):
-        if key not in doc:
-            raise FormatError(f"missing required field {key!r}")
-    for key in doc:
-        val = doc[key]
-        if not isinstance(val, Sequence) or isinstance(val, (str, bytes)):
-            raise FormatError(f"field {key!r} must be an array of numbers")
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                   for v in val):
-            raise FormatError(f"field {key!r} must be an array of numbers")
-    return validate_system(doc["probs"], doc["ratios"], doc.get("translations"))
+def _floats(name: str, val) -> tuple[float, ...]:
+    """val as a tuple of Python floats; FormatError unless real numbers."""
+    try:
+        items = tuple(val)  # TypeError unless iterable
+        # an exact float skips the ABC check, which costs about 1 us
+        if isinstance(val, (str, bytes, Mapping)) or not all(
+                type(v) is float or isinstance(v, Real) and not isinstance(v, bool)
+                for v in items):
+            raise TypeError
+        return tuple(map(float, items))
+    except TypeError as exc:
+        raise FormatError(f"field {name!r} must be an array of numbers") from exc
+    except OverflowError as exc:  # an int past the float range
+        raise RangeError(f"field {name!r} has a value past the float range") \
+            from exc
 
 
 def load_system(source) -> WeightedSystem:
     """Load a system from a JSON file path or a mapping.
 
-    A file that cannot be read raises IoError, one that is not UTF-8 or not
-    a JSON object FormatError.
+    A file that cannot be read raises IoError; a document that is not UTF-8,
+    not a JSON object or has unknown or missing fields raises FormatError.
     """
-    if isinstance(source, Mapping):
-        return _from_mapping(source)
-    try:
-        text = Path(source).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"system file is not UTF-8: {exc}") from exc
-    except (OSError, TypeError, ValueError) as exc:  # ValueError: a NUL byte
-        raise IoError(f"cannot read system file {source!r}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, Mapping):
-        raise FormatError("system document must be a JSON object")
-    return _from_mapping(doc)
-
-
-def dump_system(sys_: WeightedSystem) -> str:
-    return json.dumps(sys_.canonical_dict(), indent=2) + "\n"
+    doc = source
+    if not isinstance(source, Mapping):
+        try:
+            text = Path(source).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"system file is not UTF-8: {exc}") from exc
+        except (OSError, TypeError, ValueError) as exc:  # ValueError: a NUL byte
+            raise IoError(f"cannot read system file {source!r}: {exc}") from exc
+        try:
+            doc = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting
+            raise FormatError(f"invalid JSON: {exc}") from exc
+        if not isinstance(doc, Mapping):
+            raise FormatError("system document must be a JSON object")
+    unknown = set(doc) - {"probs", "ratios", "translations"}
+    if unknown:
+        raise FormatError(f"unknown fields: {sorted(unknown)}")
+    for key in ("probs", "ratios"):
+        if key not in doc:
+            raise FormatError(f"missing required field {key!r}")
+    if "translations" in doc and doc["translations"] is None:
+        raise FormatError("field 'translations' must be an array of numbers")
+    return WeightedSystem(doc["probs"], doc["ratios"], doc.get("translations"))
 
 
 class Word:
@@ -206,6 +188,11 @@ class Word:
             else np.asarray(list(symbols))
         if arr.ndim != 1:
             raise RangeError("word symbols must form a flat sequence")
+        kind = arr.dtype.kind  # "O" holds ints past int64
+        if arr.size and not (kind in "iu" or kind == "O" and all(
+                isinstance(v, Integral) and not isinstance(v, bool)
+                for v in arr.tolist())):
+            raise RangeError(f"word symbols must be integers, not {arr.dtype}")
         if arr.size and arr.min() < 1:
             raise RangeError("symbols are 1-based; found a value below 1")
         if arr.dtype != np.int16:
@@ -267,12 +254,13 @@ class Word:
         pat = pattern if isinstance(pattern, Word) else cls.from_string(str(pattern))
         if len(pat) == 0:
             raise EmptyWordError("cannot extend an empty pattern")
-        reps = -(-length // len(pat))
-        return cls(np.tile(pat.symbols, reps)[:length])
+        if (length := as_index("length", length)) < 0:
+            raise DomainError("length must not be negative")
+        return cls(np.tile(pat.symbols, -(-length // len(pat)))[:length])
 
     @classmethod
     def constant(cls, symbol: int, length: int) -> "Word":
-        return cls(np.full(length, symbol, dtype=np.int16))
+        return cls.periodic(cls([symbol]), length)
 
 
 @dataclass(frozen=True)

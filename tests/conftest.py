@@ -1,7 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
 from multifractal import WeightedSystem, load_system
+
+
+def dump_system(sys_: WeightedSystem) -> str:
+    """The system as the JSON text load_system reads back."""
+    doc = {"probs": list(sys_.probs), "ratios": list(sys_.ratios)}
+    if sys_.translations is not None:
+        doc["translations"] = list(sys_.translations)
+    return json.dumps(doc, indent=2) + "\n"
 
 
 @pytest.fixture

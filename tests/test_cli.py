@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 import multifractal
 
-from multifractal import UsageError, dump_system, symbolic
+from multifractal import UsageError, symbolic
 from multifractal.cli import main, parse_config, parse_linear_grid, parse_scale_grid
+
+from conftest import dump_system
 
 A_AT_0 = 1.0849625007211563
 

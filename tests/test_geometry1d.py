@@ -312,6 +312,13 @@ class TestAssouadScan:
         with pytest.raises(DomainError):
             assouad_scan(s1, 0.0, [bad, 0.5, 0.125])
 
+    @pytest.mark.parametrize("scales", [None, ["a"], [0.5, [0.25]], 0.5])
+    def test_scales_that_are_not_numbers(self, s1, scales):
+        with pytest.raises(DomainError, match="scales must be numbers"):
+            doubling_scan(s1, 0.5, 2.0, scales)
+        with pytest.raises(DomainError, match="scales must be numbers"):
+            assouad_scan(s1, 0.5, scales)
+
     def test_no_pair_clears_min_ratio(self, s1):
         with pytest.raises(DomainError):
             assouad_scan(s1, 0.5, [0.5, 0.25], min_ratio=8.0)

@@ -280,6 +280,13 @@ class TestSpectrum:
         with pytest.raises(DomainError, match="q grid"):
             legendre_numeric(s1, 1.0, grid)
 
+    @pytest.mark.parametrize("alpha", [
+        math.nan, math.inf, -math.inf, [1.0, math.nan], np.array([math.inf]),
+        np.array([[1.0], [-math.inf]])])
+    def test_legendre_refuses_non_finite_alpha(self, s1, alpha):
+        with pytest.raises(DomainError, match="alpha must be finite"):
+            legendre_numeric(s1, alpha, [0.0, 1.0])
+
 
 class TestFBar:
     def test_flat_above_alpha0(self, s1):

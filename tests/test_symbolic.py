@@ -21,6 +21,7 @@ from multifractal import (
     EmptyAlphabetError,
     NeedLargerN,
     PrefixTooShort,
+    RangeError,
     SizeCapError,
     TypeRow,
     WindowRangeError,
@@ -222,9 +223,7 @@ class TestKappaCounts:
         assert _kappa_counts(None, 3) == (0, 0, 0)
 
     def test_symbol_above_m_rejected(self, s1):
-        with pytest.raises(DomainError):
-            _kappa_counts(Word.from_string("13"), 2)
-        with pytest.raises(DomainError):
+        with pytest.raises(RangeError, match="symbol 3 but the system has m=2"):
             block_alphabet(s1, 4, None, "13")
 
 
@@ -916,6 +915,16 @@ class TestMoran:
         with pytest.raises(DomainError):
             moran_construct(s1, 1.2, 0.05, 16, stages=0)
 
+    @pytest.mark.parametrize("stages", [2.5, math.nan, "20", None])
+    def test_non_integer_stages_refused_before_the_walk(self, s1, stages,
+                                                       monkeypatch):
+        def refuse(*args):
+            raise AssertionError("moran_construct walked the family")
+
+        monkeypatch.setattr(symbolic, "_walk", refuse)
+        with pytest.raises(DomainError, match="stages must be an integer"):
+            moran_construct(s1, 1.2, 0.05, 16, stages=stages)
+
     def test_stage_out_of_range(self, s1):
         spec = moran_construct(s1, 1.2, 0.05, 16)
         with pytest.raises(DomainError):
@@ -1013,4 +1022,9 @@ class TestAbundance:
     def test_tail_fills_block(self, s1):
         with pytest.raises(DomainError):
             abundance_report(s1, 2, 0.25, kappa="12")
+
+    @pytest.mark.parametrize("kappa", ["13", Word([2, 3])])
+    def test_tail_symbol_above_m(self, s1, kappa):
+        with pytest.raises(RangeError, match="symbol 3 but the system has m=2"):
+            abundance_report(s1, 8, 0.25, kappa)
 

@@ -6,6 +6,7 @@ import pytest
 
 from multifractal import (
     ArityError,
+    DomainError,
     EmptyWordError,
     FormatError,
     IoError,
@@ -15,17 +16,19 @@ from multifractal import (
     WeightSumError,
     Word,
     alpha_bounds,
-    dump_system,
+    block_alphabet,
     load_system,
-    validate_system,
+    moran_construct,
     word_stats,
 )
 from multifractal.system import logsumexp, xlogx
 
+from conftest import dump_system
+
 
 class TestValidation:
     def test_accepts_probability_vector_with_ratios(self):
-        sys_ = validate_system([0.5, 0.5], [0.4, 0.4])
+        sys_ = WeightedSystem([0.5, 0.5], [0.4, 0.4])
         assert sys_.m == 2
         assert sys_.translations is None
 
@@ -36,7 +39,7 @@ class TestValidation:
     def test_weights_are_not_renormalized(self):
         # sum 0.999 is refused outright
         with pytest.raises(WeightSumError):
-            validate_system([0.499, 0.5], [0.3, 0.3])
+            WeightedSystem([0.499, 0.5], [0.3, 0.3])
 
     def test_single_map_rejected(self):
         with pytest.raises(ArityError):
@@ -44,7 +47,7 @@ class TestValidation:
 
     def test_weight_of_one_rejected(self):
         with pytest.raises(RangeError):
-            validate_system([1.0, 1e-17], [0.5, 0.5])
+            WeightedSystem([1.0, 1e-17], [0.5, 0.5])
 
     def test_ratio_bounds(self):
         with pytest.raises(RangeError):
@@ -73,21 +76,72 @@ class TestValidation:
             with pytest.raises(RangeError):
                 WeightedSystem((0.5, 0.5), (0.5, 0.5), trans)
 
-    def test_idempotent_on_system(self, s1):
-        assert validate_system(s1) is s1
-
     def test_mapping_form(self):
-        sys_ = validate_system({"probs": [0.5, 0.5], "ratios": [0.3, 0.3]})
+        sys_ = load_system({"probs": [0.5, 0.5], "ratios": [0.3, 0.3]})
         assert sys_.ratios == (0.3, 0.3)
 
     def test_mapping_rejects_unknown_keys(self):
         with pytest.raises(FormatError):
-            validate_system({"probs": [0.5, 0.5], "ratios": [0.3, 0.3],
-                             "offsets": [0, 0.5]})
+            load_system({"probs": [0.5, 0.5], "ratios": [0.3, 0.3],
+                         "offsets": [0, 0.5]})
 
     def test_mapping_rejects_non_numeric(self):
         with pytest.raises(FormatError):
-            validate_system({"probs": [0.5, "x"], "ratios": [0.3, 0.3]})
+            load_system({"probs": [0.5, "x"], "ratios": [0.3, 0.3]})
+
+    def test_mapping_rejects_null_translations(self):
+        with pytest.raises(FormatError, match="'translations'"):
+            load_system({"probs": [0.5, 0.5], "ratios": [0.5, 0.5],
+                         "translations": None})
+
+
+class TestConstructor:
+    @pytest.mark.parametrize("build", [
+        list, np.array, lambda v: tuple(map(np.float64, v)),
+        lambda v: (x for x in v)], ids=["list", "array", "float64", "iterator"])
+    def test_fields_are_stored_as_float_tuples(self, s1, build):
+        sys_ = WeightedSystem(build([1 / 3, 2 / 3]), build([0.5, 0.5]),
+                              build([0.0, 0.5]))
+        assert sys_ == s1 and hash(sys_) == hash(s1)
+        for val in (sys_.probs, sys_.ratios, sys_.translations):
+            assert type(val) is tuple
+            assert all(type(v) is float for v in val)
+
+    def test_numpy_integers_are_numbers(self):
+        sys_ = WeightedSystem([0.5, 0.5], [0.5, 0.5], np.array([0, 0.5]))
+        assert sys_.translations == (0.0, 0.5)
+        assert type(WeightedSystem([0.5, 0.5], [0.5, 0.5],
+                                   [np.int64(0), 0.5]).translations[0]) is float
+
+    def test_list_built_system_runs_the_symbolic_layer(self, s1):
+        sys_ = WeightedSystem([1 / 3, 2 / 3], [0.5, 0.5], [0.0, 0.5])
+        assert block_alphabet(sys_, 12, 1.2).rows == \
+            block_alphabet(s1, 12, 1.2).rows
+        assert moran_construct(sys_, 1.2, 0.05, 16).stage_lengths == \
+            moran_construct(s1, 1.2, 0.05, 16).stage_lengths
+
+    @pytest.mark.parametrize("field", ["probs", "ratios", "translations"])
+    @pytest.mark.parametrize("bad", [
+        ["x", 0.5], [True, 0.5], [np.bool_(True), 0.5], [None, 0.5],
+        [[0.5], 0.5], "0.5", b"05", {0.5: 1, 0.25: 2}, 0.5, None])
+    def test_non_numbers_are_a_format_error(self, field, bad):
+        fields = {"probs": [0.5, 0.5], "ratios": [0.5, 0.5],
+                  "translations": [0.0, 0.5]}
+        fields[field] = bad
+        if field == "translations" and bad is None:
+            assert not WeightedSystem(**fields).has_geometry
+            return
+        with pytest.raises(FormatError, match=f"field {field!r}"):
+            WeightedSystem(**fields)
+
+    def test_int_past_the_float_range_is_a_range_error(self, tmp_path):
+        with pytest.raises(RangeError, match="float range"):
+            WeightedSystem([10 ** 400, 0.5], [0.5, 0.5])
+        path = tmp_path / "big.json"
+        path.write_text('{"probs": [1%s, 0.5], "ratios": [0.5, 0.5]}'
+                        % ("0" * 400))
+        with pytest.raises(RangeError):
+            load_system(path)
 
 
 class TestSerialization:
@@ -159,12 +213,31 @@ class TestWord:
         w = Word.periodic("12", 5)
         assert str(w) == "12121"
 
+    @pytest.mark.parametrize("length", [-1, -3, 2.5, "2", None])
+    def test_periodic_length_must_be_a_nonnegative_integer(self, length):
+        with pytest.raises(DomainError, match="length"):
+            Word.periodic("12", length)
+
+    def test_periodic_lengths(self):
+        assert len(Word.periodic("12", 0)) == 0
+        assert str(Word.periodic("12", np.int64(3))) == "121"
+
     def test_periodic_empty_pattern(self):
         with pytest.raises(EmptyWordError):
             Word.periodic("", 5)
 
     def test_constant(self):
         assert str(Word.constant(2, 4)) == "2222"
+
+    @pytest.mark.parametrize("symbol", [1.5, True, 0, 70000])
+    def test_constant_symbol_follows_the_word_rule(self, symbol):
+        with pytest.raises(RangeError):
+            Word.constant(symbol, 3)
+
+    @pytest.mark.parametrize("length", [-1, 2.5])
+    def test_constant_length_must_be_a_nonnegative_integer(self, length):
+        with pytest.raises(DomainError, match="length"):
+            Word.constant(2, length)
 
     def test_slicing_returns_word(self):
         w = Word.from_string("12121")
@@ -174,6 +247,22 @@ class TestWord:
     def test_zero_based_symbols_rejected(self):
         with pytest.raises(RangeError):
             Word([0, 1])
+
+    @pytest.mark.parametrize("symbols", [
+        [1.5, 2], [1.0, 2.0], np.array([1.0, 2.0]), [True, False],
+        np.array([True]), np.array(["1", "2"]), [1, None],
+        np.array([1, 2.5], dtype=object)])
+    def test_non_integer_symbols_are_refused(self, symbols):
+        with pytest.raises(RangeError, match="must be integers"):
+            Word(symbols)
+
+    @pytest.mark.parametrize("symbols", [[], np.array([]), np.zeros(0, bool)])
+    def test_empty_word_of_any_dtype(self, symbols):
+        assert len(Word(symbols)) == 0
+
+    def test_integer_dtypes_are_kept(self):
+        assert Word(np.array([1, 2], dtype=np.uint8)) == Word([1, 2])
+        assert Word(np.array([1, 2], dtype=object)) == Word([1, 2])
 
     @pytest.mark.parametrize("text", ["abc", "1,,2", "12a", "1 2", "-1", "1,x"])
     def test_non_integer_tokens_are_a_format_error(self, text):
