@@ -26,6 +26,7 @@ from .system import (
     WeightedSystem,
     Word,
     as_index,
+    as_real,
     check_symbols,
     word_stats,
 )
@@ -72,10 +73,13 @@ class WitnessPair:
         }
 
 
-def _require_finite(**values: float) -> None:
-    for name, v in values.items():
+def _require_finite(**values: float) -> list[float]:
+    """The values as Python floats; DomainError unless finite numbers."""
+    out = [as_real(name, v) for name, v in values.items()]
+    for name, v in zip(values, out):
         if not math.isfinite(v):
             raise DomainError(f"{name}={v} is not finite")
+    return out
 
 
 def _finite_scales(scales) -> list[float]:
@@ -124,7 +128,7 @@ def ball_measure(sys_: WeightedSystem, x: float, r: float,
     below tol (or the depth cap is hit) count toward the upper bound only.
     """
     _require_geometry(sys_)
-    _require_finite(x=x, r=r, tol=tol)
+    x, r, tol = _require_finite(x=x, r=r, tol=tol)
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x={x} outside [0, 1]")
     if r <= 0.0:
@@ -209,7 +213,7 @@ def doubling_scan(sys_: WeightedSystem, x: float, gamma: float, scales,
     the supremum of the doubling ratio over the scanned scales.
     """
     _require_geometry(sys_)
-    _require_finite(gamma=gamma)
+    [gamma] = _require_finite(gamma=gamma)
     if gamma <= 1.0:
         raise DomainError("gamma must exceed 1")
     rs = _finite_scales(scales)
@@ -238,7 +242,7 @@ def assouad_scan(sys_: WeightedSystem, x: float, scales,
     upper bound at a point.
     """
     _require_geometry(sys_)
-    _require_finite(min_ratio=min_ratio)
+    [min_ratio] = _require_finite(min_ratio=min_ratio)
     rs = sorted(set(_finite_scales(scales)), reverse=True)
     if len(rs) < 2:
         raise DomainError("need at least two scales")
@@ -284,7 +288,7 @@ def non_doubling_witness(sys_: WeightedSystem, n_target: float,
     grows geometrically. Returns the shallowest pair found, or None.
     """
     _require_geometry(sys_)
-    _require_finite(n_target=n_target)
+    [n_target] = _require_finite(n_target=n_target)
     if as_index("depth_cap", depth_cap) < 1:
         raise DomainError("depth_cap must be at least 1")
     order = sorted(range(sys_.m), key=lambda i: sys_.translations[i])

@@ -21,7 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, ConsistencyError, DomainError
-from .system import NEWTON_CAP, WeightedSystem, alpha_bounds, lse_root, xlogx
+from .system import (
+    NEWTON_CAP,
+    WeightedSystem,
+    alpha_bounds,
+    as_real,
+    lse_root,
+    xlogx,
+)
 
 Q_CAP = 200.0
 # interior agreement between the two f(alpha) routes; spec-pinned
@@ -35,8 +42,10 @@ def solve_tau(sys_: WeightedSystem, q: float) -> float:
     At t0 = min_i(-q log p_i / log r_i) every term p_i^q r_i^t0 is at least
     1, so the log of the sum is positive there and lse_root can start.
     A NaN or infinite q, or one beyond sys_.q_limit where the terms could
-    overflow, raises DomainError before any arithmetic on it.
+    overflow, raises DomainError before any arithmetic on it, as does a q
+    that is not a number.
     """
+    q = as_real("q", q)
     if not math.isfinite(q):
         raise DomainError(f"q={q} is not finite")
     if abs(q) > sys_.q_limit:
@@ -47,6 +56,7 @@ def solve_tau(sys_: WeightedSystem, q: float) -> float:
 
 def _tilt(sys_: WeightedSystem, q: float) -> tuple[float, np.ndarray]:
     """tau(q) and the normalized weights w_i proportional to p_i^q r_i^tau(q)."""
+    q = as_real("q", q)
     tau = solve_tau(sys_, q)
     x = q * sys_.log_probs + tau * sys_.log_ratios
     w = np.exp(x - x.max())
@@ -76,6 +86,7 @@ def q_of_alpha(sys_: WeightedSystem, alpha: float) -> float:
     alpha(q) - alpha, or meets zero curvature, bisects instead. A degenerate
     system maps its single attainable value to q = 0.
     """
+    alpha = as_real("alpha", alpha)
     amin, amax = alpha_bounds(sys_)
     if sys_.degenerate:
         if abs(alpha - amin) <= 1e-9:
@@ -110,6 +121,7 @@ def _entropy_quotient(sys_: WeightedSystem, w: np.ndarray) -> float:
 
 def _f_both(sys_: WeightedSystem, alpha: float) -> tuple[float, float, float, bool]:
     """(Legendre value, entropy-quotient value, q, capped?) for one alpha."""
+    alpha = as_real("alpha", alpha)
     amin, amax = alpha_bounds(sys_)
     edge = 1e-9 * max(1.0, abs(amax))
     if sys_.degenerate:
@@ -149,6 +161,7 @@ def f_of_alpha(sys_: WeightedSystem, alpha: float) -> float:
 
 def f_bar(sys_: WeightedSystem, alpha: float) -> float:
     """Upper envelope: f(alpha) up to alpha(0), then the constant tau(0)."""
+    alpha = as_real("alpha", alpha)
     amax = alpha_bounds(sys_)[1]
     if not sys_.degenerate and alpha <= amax + 1e-9 * max(1.0, abs(amax)):
         tau0, w0 = _tilt(sys_, 0.0)
@@ -169,11 +182,16 @@ def legendre_numeric(sys_: WeightedSystem, alpha, q_grid=None):
 
     alpha may be a scalar or an array; the tau grid is evaluated once.
     """
-    qs = default_q_grid() if q_grid is None else np.asarray(q_grid, dtype=float)
+    try:
+        qs = (default_q_grid() if q_grid is None
+              else np.asarray(q_grid, dtype=float))
+        a = np.asarray(alpha, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(
+            f"alpha and the q grid must be numbers: {exc}") from exc
     if qs.ndim != 1 or not qs.size:
         raise DomainError(f"q grid must be a nonempty flat sequence, "
                           f"not of shape {qs.shape}")
-    a = np.asarray(alpha, dtype=float)
     if not np.isfinite(a).all():
         raise DomainError(f"alpha must be finite, not {alpha!r}")
     taus = np.array([solve_tau(sys_, q) for q in qs])
@@ -193,7 +211,10 @@ class SpectrumRow:
 
 def spectrum_table(sys_: WeightedSystem, q_values) -> tuple[SpectrumRow, ...]:
     """Rows (q, tau, alpha, f, f_bar) for each requested q, in order."""
-    qs = [float(q) for q in q_values]
+    try:
+        qs = [float(q) for q in q_values]
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"q values must be numbers: {exc}") from exc
     tau0, w0 = _tilt(sys_, 0.0)
     alpha0 = _alpha_from_weights(sys_, w0)
     rows = []

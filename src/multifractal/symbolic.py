@@ -19,8 +19,9 @@ import functools
 import itertools
 import math
 import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -234,21 +235,69 @@ class TypeRow(NamedTuple):
     ratio: float
 
 
+class TypeRows(Sequence):
+    """Read-only sequence of an alphabet's TypeRows, built when read.
+
+    The walk stores its kept types as columns: the symbol counts as one
+    (k, m) int64 array, the exact class sizes as a list of Python ints, and
+    log p, log r and their ratio as one (3, k) float array. Indexing, slicing
+    and iteration build TypeRows from them, so a walk leaves a constant number
+    of objects for the garbage collector however many types it keeps. == and
+    hash are those of the tuple of rows.
+    """
+
+    __slots__ = ("_counts", "_sizes", "_logs")
+
+    def __init__(self, counts: np.ndarray, sizes: list[int],
+                 logs: np.ndarray):
+        self._counts, self._sizes, self._logs = counts, sizes, logs
+
+    @staticmethod
+    def _build(counts, sizes, logs) -> Iterator[TypeRow]:
+        return map(TypeRow, map(tuple, counts.tolist()), sizes, *logs.tolist())
+
+    def __len__(self) -> int:
+        return len(self._sizes)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return tuple(self._build(self._counts[key], self._sizes[key],
+                                     self._logs[:, key]))
+        i = operator.index(key)
+        count = self._sizes[i]  # IndexError past either end
+        return TypeRow(tuple(self._counts[i].tolist()), count,
+                       *self._logs[:, i].tolist())
+
+    def __iter__(self) -> Iterator[TypeRow]:
+        return self._build(self._counts, self._sizes, self._logs)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, TypeRows):
+            other = tuple(other)
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return tuple(self) == other
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class BlockAlphabet:
     """Length-n blocks grouped by type, optionally filtered by exponent.
 
     The base is either the full shift or the tail-appended family
     {w + kappa : w of length n - |kappa|}. When alpha_cap is set only types
-    with log p / log r <= alpha_cap are kept. block_count sums the rows'
-    counts; log_terms holds (log #a, log r_a) per row, read-only.
+    with log p / log r <= alpha_cap are kept. rows is a TypeRows view over
+    the walk's columns; block_count sums the rows' counts; log_terms holds
+    (log #a, log r_a) per row, read-only.
     """
 
     system: WeightedSystem
     n: int
     kappa: Word | None
     alpha_cap: float | None
-    rows: tuple[TypeRow, ...] = field(repr=False)
+    rows: TypeRows = field(repr=False)
     block_count: int = field(repr=False)
     log_terms: tuple[np.ndarray, np.ndarray] = field(repr=False,
                                                       compare=False)
@@ -320,28 +369,28 @@ def _walk(sys_: WeightedSystem, n: int, alpha: float | None,
     falling = np.array(list(itertools.accumulate(
         range(free, -(-free // m), -1), operator.mul, initial=1)),
         dtype=object)
-    rows, log_counts, log_rs = [], [], []
+    # per block: kept counts and (log_p, log_r, ratio); one list of sizes
+    count_blocks, log_blocks, sizes = [], [], []
     for comps in _compositions(free, m):
         counts = comps + tail
         log_p, log_r = (counts.astype(float) @ logs).T
-        ratio = log_p / log_r
+        cols = np.stack([log_p, log_r, log_p / log_r])
         if alpha is not None:
-            keep = ~(ratio > alpha + 1e-12)  # a NaN alpha cuts nothing
-            comps, counts = comps[keep], counts[keep]
-            log_p, log_r, ratio = log_p[keep], log_r[keep], ratio[keep]
+            keep = ~(cols[2] > alpha + 1e-12)  # a NaN alpha cuts nothing
+            comps, counts, cols = comps[keep], counts[keep], cols[:, keep]
         at = np.arange(len(comps)), comps.argmax(axis=1)
         top = comps[at]
         comps[at] = 0  # leaves the other parts, whose factorials divide
-        sizes = (falling[free - top] // fact[comps].prod(axis=1)).tolist()
-        log_r = log_r.tolist()
-        rows.extend(map(TypeRow, map(tuple, counts.tolist()), sizes,
-                        log_p.tolist(), log_r, ratio.tolist()))
-        log_counts.extend(map(math.log, sizes))
-        log_rs.extend(log_r)
-    log_terms = np.array(log_counts), np.array(log_rs)
-    log_terms[0].flags.writeable = log_terms[1].flags.writeable = False
-    return BlockAlphabet(sys_, n, kappa, alpha, tuple(rows),
-                         sum(row.count for row in rows), log_terms)
+        sizes.extend((falling[free - top] // fact[comps].prod(axis=1)).tolist())
+        count_blocks.append(counts)
+        log_blocks.append(cols)
+    counts = np.concatenate(count_blocks)
+    cols = np.concatenate(log_blocks, axis=1)
+    log_counts = np.fromiter(map(math.log, sizes), float, len(sizes))
+    for arr in counts, cols, log_counts:
+        arr.flags.writeable = False
+    return BlockAlphabet(sys_, n, kappa, alpha, TypeRows(counts, sizes, cols),
+                         sum(sizes), (log_counts, cols[1]))
 
 
 def gamma_n_alpha(sys_: WeightedSystem, n: int, alpha: float,

@@ -195,11 +195,10 @@ class Word:
             raise RangeError(f"word symbols must be integers, not {arr.dtype}")
         if arr.size and arr.min() < 1:
             raise RangeError("symbols are 1-based; found a value below 1")
-        if arr.dtype != np.int16:
-            # checked before the cast, which may wrap silently
-            if arr.size and arr.max() > _SYMBOL_MAX:
-                raise RangeError(f"symbol {arr.max()} exceeds {_SYMBOL_MAX}")
-            arr = arr.astype(np.int16)
+        # checked before the cast, which may wrap silently
+        if arr.dtype != np.int16 and arr.size and arr.max() > _SYMBOL_MAX:
+            raise RangeError(f"symbol {arr.max()} exceeds {_SYMBOL_MAX}")
+        arr = arr.astype(np.int16)  # a copy: the caller's array stays writable
         arr.setflags(write=False)
         object.__setattr__(self, "symbols", arr)
 
@@ -286,6 +285,14 @@ def as_index(name: str, value) -> int:
         return operator.index(value)
     except TypeError as exc:
         raise DomainError(f"{name} must be an integer: {exc}") from exc
+
+
+def as_real(name: str, value) -> float:
+    """value as a Python float by float(); DomainError otherwise."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be a number: {exc}") from exc
 
 
 def check_symbols(sys_: WeightedSystem, word: Word) -> None:

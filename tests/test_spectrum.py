@@ -11,6 +11,9 @@ from multifractal import (
     SpectrumRow,
     alpha_bounds,
     alpha_of_q,
+    assouad_scan,
+    ball_measure,
+    doubling_scan,
     f_bar,
     f_of_alpha,
     legendre_numeric,
@@ -339,3 +342,25 @@ class TestSpectrumTable:
 
     def test_empty_grid(self, s1):
         assert len(spectrum_table(s1, [])) == 0
+
+
+NOT_NUMBERS = {
+    "solve_tau": lambda s: solve_tau(s, None),
+    "f_of_alpha": lambda s: f_of_alpha(s, "x"),
+    "alpha_of_q": lambda s: alpha_of_q(s, "x"),
+    "q_of_alpha": lambda s: q_of_alpha(s, "x"),
+    "f_bar": lambda s: f_bar(s, "x"),
+    "ball_measure": lambda s: ball_measure(s, "x", 0.1),
+    "doubling_scan": lambda s: doubling_scan(s, "x", 2.0, [0.1]),
+    "assouad_scan": lambda s: assouad_scan(s, "x", [0.5, 0.125]),
+    "legendre_alpha": lambda s: legendre_numeric(s, "abc", [0.0, 1.0]),
+    "legendre_grid": lambda s: legendre_numeric(s, 1.0, ["a"]),
+    "table_strings": lambda s: spectrum_table(s, ["a"]),
+    "table_none": lambda s: spectrum_table(s, None),
+}
+
+
+@pytest.mark.parametrize("call", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
+def test_arguments_that_are_not_numbers(s1, call):
+    with pytest.raises(DomainError, match="must be (a number|numbers)"):
+        call(s1)

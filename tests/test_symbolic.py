@@ -5,6 +5,7 @@ Small-n block alphabets are cross-checked against direct enumeration of
 blind.
 """
 
+import gc
 import itertools
 import math
 import tracemalloc
@@ -546,6 +547,51 @@ class TestBlockAlphabet:
             tracemalloc.stop()
         assert 0 < len(gamma.rows) < 1000
         assert peak < 1.5e6
+
+    def test_walk_leaves_no_object_per_row(self):
+        # rows are columns until read, so the collector tracks none of them
+        lo, hi = alpha_bounds(M4)
+        symbolic._walk.cache_clear()
+        gc.collect()
+        before = len(gc.get_objects())
+        gamma = block_alphabet(M4, 24, lo + 0.6 * (hi - lo))
+        gc.collect()
+        assert len(gamma.rows) == 2348
+        assert len(gc.get_objects()) - before < 50
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
+           n=st.integers(1, 12), tail=st.integers(0, 3),
+           cut=st.one_of(st.none(), st.floats(0.0, 1.0)),
+           at=st.integers(-200, 200), start=st.integers(-30, 30),
+           stop=st.one_of(st.none(), st.integers(-30, 30)),
+           step=st.sampled_from([None, 1, 2, -1, -3]))
+    def test_rows_view_acts_as_a_tuple(self, m, seed, n, tail, cut, at,
+                                       start, stop, step):
+        rng = np.random.default_rng(seed)
+        sys_ = random_weighted_system(m, rng)
+        kappa = "".join(str(int(c)) for c in rng.integers(1, m + 1,
+                                                          min(tail, n)))
+        lo, hi = alpha_bounds(sys_)
+        alpha = None if cut is None else lo + cut * (hi - lo)
+        rows = block_alphabet(sys_, n, alpha, kappa).rows
+        # the walk's matrix product may differ from the loop's dot products
+        # in the last bit
+        loop = row_loop_alphabet(sys_, n, alpha, kappa)
+        assert [r[:2] for r in rows] == [r[:2] for r in loop]
+        assert np.allclose([r[2:] for r in rows], [r[2:] for r in loop],
+                           rtol=0.0, atol=1e-12)
+        want = tuple(rows)
+        assert len(rows) == len(want) and bool(rows) == bool(want)
+        if -len(want) <= at < len(want):
+            assert rows[at] == want[at] and type(rows[at]) is TypeRow
+            assert all(type(c) is int for c in rows[at].counts)
+        else:
+            with pytest.raises(IndexError):
+                rows[at]
+        assert rows[start:stop:step] == want[start:stop:step]
+        assert rows == want and want == rows and not rows != want
+        assert hash(rows) == hash(want)
 
     @pytest.mark.parametrize("sys_, n, alpha, kappa", [
         (WeightedSystem((1 / 3, 2 / 3), (0.5, 0.5)), 4, 0.5, None),

@@ -291,6 +291,14 @@ class TestWord:
         with pytest.raises(AttributeError):
             w.symbols = None
 
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    def test_caller_array_stays_writable(self, dtype):
+        a = np.array([1, 2], dtype=dtype)
+        w = Word(a)
+        a[0] = 2
+        assert a.flags.writeable and list(a) == [2, 2]
+        assert list(w) == [1, 2] and not w.symbols.flags.writeable
+
 
 class TestWordStats:
     def test_single_symbols(self, s1):
