@@ -378,9 +378,9 @@ def coding_of(sys_: WeightedSystem, x: float, depth: int) -> Word:
 def fixed_point(sys_: WeightedSystem, word: Word) -> float:
     """Fixed point of the word's map composition: the point coded (word)^inf."""
     _require_geometry(sys_)
+    scale, offset = _affine_of_word(sys_, word)
     if len(word) == 0:
         raise EmptyWordError("fixed point of the empty composition is undefined")
-    scale, offset = _affine_of_word(sys_, word)
     return offset / (1.0 - scale)
 
 

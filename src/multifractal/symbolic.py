@@ -7,9 +7,9 @@ are astronomically large.
 
 The estimators here work on finite prefixes. assouad_estimate takes the
 largest window exponent over the top quartile of the requested window
-lengths, the finite-data surrogate for the limsup over window lengths, and
-scans only those lengths; window_sups scans the per-length suprema over the
-whole range. Results are plain frozen records, each field computed once by
+lengths, the finite-data surrogate for the limsup over window lengths, by a
+certified parametric search; window_sups scans the per-length suprema over
+the whole range. Results are plain frozen records, each field computed once by
 the function that returns it.
 """
 
@@ -41,6 +41,7 @@ from .system import (
     Word,
     alpha_bounds,
     as_index,
+    as_real,
     check_symbols,
     logsumexp,
     lse_root,
@@ -55,9 +56,9 @@ BIT_BUDGET = 20_000_000
 # thin, few enough that a block's arrays and lists stay near 100 KB, so the
 # walk's memory does not grow with the family
 WALK_BLOCK = 1024
-# float cells per sum in the window scan's buffer: window lengths are
-# scanned in batches that fit, one length at a time for longer words. The
-# estimate scans the top quartile of its range, window_sups the whole range.
+# float cells per sum in the window scans' buffers: window_sups scans window
+# lengths in batches that fit, one length at a time for longer words, and
+# the estimate scans the ends that survive its screen in batches that fit.
 # Larger buffers scan a little faster but raise the resident set.
 SCAN_CELLS = 1 << 14
 
@@ -107,6 +108,7 @@ def type_class_log_count(counts: Sequence[int]) -> TypeClassCount:
 
 def local_dim_prefixes(sys_: WeightedSystem, word: Word, depths) -> np.ndarray:
     """Prefix exponents log p_(w|d) / log r_(w|d) at the requested depths."""
+    lp, lr = word_log_arrays(sys_, word)
     ds = [as_index("depth", d) for d in depths]
     if not ds:
         return np.array([])
@@ -115,10 +117,30 @@ def local_dim_prefixes(sys_: WeightedSystem, word: Word, depths) -> np.ndarray:
     if max(ds) > len(word):
         raise PrefixTooShort(
             f"depth {max(ds)} exceeds prefix length {len(word)}")
-    lp, lr = word_log_arrays(sys_, word)
     cp, cr = np.cumsum(lp), np.cumsum(lr)
     at = np.asarray(ds, dtype=np.intp) - 1
     return cp[at] / cr[at]
+
+
+def _prefix_sums(sys_: WeightedSystem, word: Word, lead: int,
+                 trail: int) -> np.ndarray:
+    """Prefix sums of log p and log r as the two rows of one array.
+
+    Column lead + k holds the sums over the word's first k letters. The lead
+    columns before them and the trail columns after them hold +1e300 over
+    -1e300: a window with one end in a pad has ratio about -1, below every
+    window's exponent, which is at least 0. Both window scans read their
+    sums from here, so they see the same bits.
+    """
+    lp, lr = word_log_arrays(sys_, word)
+    size = len(word) + 1
+    c = np.empty((2, lead + size + trail))
+    c[0, :lead], c[1, :lead] = 1e300, -1e300
+    c[:, lead] = 0.0
+    np.cumsum(lp, out=c[0, lead + 1:lead + size])
+    np.cumsum(lr, out=c[1, lead + 1:lead + size])
+    c[0, lead + size:], c[1, lead + size:] = 1e300, -1e300
+    return c
 
 
 def _window_sups(sys_: WeightedSystem, word: Word, n_lo: int,
@@ -128,20 +150,13 @@ def _window_sups(sys_: WeightedSystem, word: Word, n_lo: int,
     Row n - n_lo holds the supremum over the length-n windows, for each n in
     n_lo..n_hi; the caller checks that the range fits the word.
     """
-    lp, lr = word_log_arrays(sys_, word)
     rows = n_hi - n_lo + 1
     sups = np.empty(rows)
-    # Prefix sums of log p and log r as the two rows of one array, then
-    # rows - 1 reads past the word's end: +1e300 over -1e300, whose ratio
-    # -1 lies below every window's (positive) exponent. Row n of a window
-    # view starts at position n, and a batch's row i holds the windows of
-    # length n + i, so each row's maximum is its own.
-    size = len(word) + 1
-    c = np.zeros((2, size + rows - 1))
-    np.cumsum(lp, out=c[0, 1:size])
-    np.cumsum(lr, out=c[1, 1:size])
-    c[0, size:], c[1, size:] = 1e300, -1e300
-    width = size - n_lo
+    # rows - 1 pad columns past the word's end. Row n of a window view
+    # starts at position n, and a batch's row i holds the windows of length
+    # n + i, so each row's maximum is its own.
+    c = _prefix_sums(sys_, word, 0, rows - 1)
+    width = len(word) + 1 - n_lo
     batch = max(1, SCAN_CELLS // width)
     starts = sliding_window_view(c, width, axis=1)
     buf = np.empty((2, batch, width))
@@ -153,8 +168,99 @@ def _window_sups(sys_: WeightedSystem, word: Word, n_lo: int,
     return sups
 
 
-def _window_range(word: Word, window_range) -> tuple[int, int]:
-    """The range as two Python ints, checked to fit the word."""
+def _window_max(sys_: WeightedSystem, word: Word, n_lo: int,
+                n_hi: int) -> float:
+    """_window_sups(sys_, word, n_lo, n_hi).max(), bit for bit, in O(L) passes.
+
+    A window (i, j) holds letters i..j-1, and its float ratio is
+    f = fl(fl(P_j - P_i) / fl(R_j - R_i)) over the prefix sums P, R of log p
+    and log r, as in _window_sups. If R falls strictly, each R_j - R_i < 0,
+    and for G = P - lam R the exact ratio rho = (P_j - P_i) / (R_j - R_i)
+    is >= lam exactly when G_i >= G_j. If some rounded step left R flat,
+    the brute-force scan runs instead and keeps its answer, inf or NaN.
+
+    Search (Dinkelbach, Management Science 13(7), 1967). Start lam at the
+    largest ratio of the windows ending at the word's end. Each pass forms
+    G = P - lam' R, takes for every end j the largest G_i over its starts
+    i in [j - n_hi, j - n_lo] with the van Herk / Gil-Werman sliding
+    maximum (two running maxima over blocks of n_hi - n_lo + 1), and
+    evaluates the windows of the end with the largest G_i - G_j. Their
+    largest ratio becomes lam while it rises; lam takes finitely many
+    values, so the search ends.
+
+    Certified screen. With u = 2^-53 and lam' = fl(lam (1 - 8u)), keep each
+    end j whose computed max G_i - G_j is >= -tol, tol = 16u (max|P| +
+    lam' max|R|). Let (i, j) have f >= lam >= 0. Each of the three float
+    operations in f errs by a factor 1 + d, |d| <= u, so rho >= f (1 - u)
+    / (1 + u)^2 >= lam (1 - 3u), while lam' <= lam (1 - 8u)(1 + u); hence
+    rho >= lam' and exactly G'_i >= G'_j. Each computed G'_k =
+    fl(P_k - fl(lam' R_k)) is within 3u (|P_k| + lam' |R_k|) of its exact
+    value, so the computed max G'_i - G'_j is at least -6u (max|P| +
+    lam' max|R|) >= -tol before its last rounding, and rounding is
+    monotone, so it stays >= -tol after: j survives. lam is the float
+    ratio of a real window, so the window of the largest ratio has
+    f >= lam and its end survives. The ends that survive are scanned with
+    _window_sups's expression, so their maximum is the brute-force maximum,
+    whatever the search did. No value here leaves the normal float range:
+    each nonzero |P_k|, |R_k| or difference of two is at least 2^-107, and
+    each |P_k|, |R_k| at most 745 per letter.
+
+    The cost is a few passes plus W = n_hi - n_lo + 1 cells per surviving
+    end: few ends survive on irregular words, many where windows tie
+    exactly, as on periodic and constant words. Survivors are scanned in
+    batches of SCAN_CELLS cells taken from a strided view of the sums.
+    """
+    width = n_hi - n_lo + 1
+    lead = width - 1  # starts below 0 fall in the pad
+    c = _prefix_sums(sys_, word, lead, 0)
+    p, r = c[:, lead:]
+    if not (r[1:] < r[:-1]).all():
+        del c, p, r  # the scan builds its own sums
+        return float(_window_sups(sys_, word, n_lo, n_hi).max())
+    ends = len(word) + 1 - n_lo  # ends j = n_lo + a, a = 0..ends - 1
+    # row a: the sums at the starts of end n_lo + a, longest window first
+    starts = sliding_window_view(c, width, axis=1)
+    at_end = c[:, lead + n_lo:]
+    batch = max(1, SCAN_CELLS // width)
+
+    def scan(rows: np.ndarray) -> float:
+        best = -math.inf
+        buf = np.empty((2, min(batch, rows.size), width))
+        for k in range(0, rows.size, batch):
+            a = rows[k:k + batch]
+            u = buf[:, :a.size]
+            np.subtract(at_end[:, a, None], starts[:, a], out=u)
+            best = max(best, float(np.divide(u[0], u[1], out=u[0]).max()))
+        return best
+
+    lam = scan(np.array([ends - 1]))
+    # G in blocks of width, -inf in the lead pad and past the word's end
+    size = -(-c.shape[1] // width) * width
+    g, fwd, bwd = (np.full(size, -math.inf) for _ in range(3))
+    blocks, gs = g.reshape(-1, width), g[lead:c.shape[1]]
+    ulp = 2.0 ** -53
+    while True:
+        lam_ = lam * (1.0 - 8 * ulp)
+        tol = 16 * ulp * (-p[-1] + lam_ * -r[-1])  # P and R fall from 0
+        np.add(p, np.multiply(r, -lam_, out=gs), out=gs)
+        np.maximum.accumulate(blocks, axis=1, out=fwd.reshape(-1, width))
+        np.maximum.accumulate(blocks[:, ::-1], axis=1,
+                              out=bwd.reshape(-1, width)[:, ::-1])
+        # the largest G_i over the starts of end n_lo + a, less G_j
+        gap = np.maximum(bwd[:ends], fwd[lead:lead + ends], out=bwd[:ends])
+        np.subtract(gap, gs[n_lo:], out=gap)
+        step = scan(np.array([gap.argmax()]))
+        if not step > lam:
+            break
+        lam = step
+    del g, fwd, blocks, gs
+    return scan(np.flatnonzero(gap >= -tol))
+
+
+def _window_range(sys_: WeightedSystem, word: Word,
+                  window_range) -> tuple[int, int]:
+    """The range as two Python ints, checked to fit the checked word."""
+    check_symbols(sys_, word)
     try:
         n_lo, n_hi = map(operator.index, window_range)
     except (TypeError, ValueError) as exc:
@@ -172,7 +278,7 @@ def window_sups(sys_: WeightedSystem, word: Word,
                 window_range: tuple[int, int]) -> np.ndarray:
     """Supremum of log p_a / log r_a over the length-n windows a of the word,
     for each n in the window range, in order."""
-    return _window_sups(sys_, word, *_window_range(word, window_range))
+    return _window_sups(sys_, word, *_window_range(sys_, word, window_range))
 
 
 @dataclass(frozen=True)
@@ -189,13 +295,13 @@ def assouad_estimate(sys_: WeightedSystem, word: Word,
     """Sliding-window estimator of the pointwise Assouad exponent.
 
     The estimate is the largest of the window_sups over the top quartile of
-    the window range, where finite-length bias is smallest; only those
-    lengths are scanned.
+    the window range, where finite-length bias is smallest. _window_max
+    finds it, bit for bit, without scanning each length.
     """
-    n_lo, n_hi = _window_range(word, window_range)
+    n_lo, n_hi = _window_range(sys_, word, window_range)
     ns = np.arange(n_lo, n_hi + 1)
     top = 3 * ns.size // 4  # 0 for a single length
-    estimate = float(_window_sups(sys_, word, n_lo + top, n_hi).max())
+    estimate = _window_max(sys_, word, n_lo + top, n_hi)
     return AssouadEstimate(ns, estimate, (n_lo, n_hi))
 
 
@@ -318,9 +424,9 @@ def _family(sys_: WeightedSystem, n: int, kappa: Word | str | None
         raise DomainError("block length must be positive")
     if isinstance(kappa, str):
         kappa = Word.from_string(kappa)
-    kappa = kappa or None  # an empty tail is no tail
     if kappa is not None:
         check_symbols(sys_, kappa)
+        kappa = kappa or None  # an empty tail is no tail
     kc = _kappa_counts(kappa, sys_.m)
     free = n - sum(kc)
     if free < 0:
@@ -332,10 +438,14 @@ def block_alphabet(sys_: WeightedSystem, n: int, alpha: float | None = None,
                    kappa: Word | str | None = None) -> BlockAlphabet:
     """Type-level description of the length-n blocks with exponent <= alpha.
 
-    alpha=None keeps the whole base family. kappa switches the base from the
-    full shift to the tail-appended family ending in kappa. The latest family
-    walked is kept, so a repeated call returns the same alphabet object.
+    alpha=None keeps the whole base family; any other alpha must be a number
+    and not NaN, and is kept as given as alpha_cap. kappa switches the base
+    from the full shift to the tail-appended family ending in kappa. The
+    latest family walked is kept, so a repeated call returns the same
+    alphabet object.
     """
+    if alpha is not None and math.isnan(as_real("alpha", alpha)):
+        raise DomainError("alpha must not be NaN")
     n, kappa, _, free = _family(sys_, n, kappa)
     m = sys_.m
     n_types = math.comb(free + m - 1, m - 1)
@@ -376,7 +486,7 @@ def _walk(sys_: WeightedSystem, n: int, alpha: float | None,
         log_p, log_r = (counts.astype(float) @ logs).T
         cols = np.stack([log_p, log_r, log_p / log_r])
         if alpha is not None:
-            keep = ~(cols[2] > alpha + 1e-12)  # a NaN alpha cuts nothing
+            keep = cols[2] <= float(alpha) + 1e-12
             comps, counts, cols = comps[keep], counts[keep], cols[:, keep]
         at = np.arange(len(comps)), comps.argmax(axis=1)
         top = comps[at]
@@ -420,6 +530,7 @@ def greedy_word(sys_: WeightedSystem, alpha: float, length: int) -> Word:
     letters of equal exponent the lowest index is used. An alpha equal to
     the top exponent yields the constant high word.
     """
+    alpha = as_real("alpha", alpha)
     length = as_index("length", length)
     if length < 1:
         raise DomainError("length must be positive")
@@ -493,6 +604,7 @@ def moran_construct(sys_: WeightedSystem, alpha: float, eps: float, n: int,
     n cancels in the running exponent, so this is the chase over the blocks
     hi^n and lo^n. Of letters with equal exponent the lowest index is used.
     """
+    alpha, eps = as_real("alpha", alpha), as_real("epsilon", eps)
     a_lo, a_hi = alpha_bounds(sys_)
     if not (a_lo < alpha < a_hi):
         raise DomainError(f"alpha={alpha} outside the open interval "
@@ -572,6 +684,7 @@ def abundance_report(sys_: WeightedSystem, n: int, delta: float,
     that every interior lattice point with spacing ~delta/2 has a realized
     type within l-inf distance delta/2, certifying delta-density.
     """
+    delta = as_real("delta", delta)
     if not 0.0 < delta <= 1.0:
         raise DomainError("delta must lie in (0, 1]")
     n, kappa, kc, free = _family(sys_, n, kappa)

@@ -296,7 +296,10 @@ def as_real(name: str, value) -> float:
 
 
 def check_symbols(sys_: WeightedSystem, word: Word) -> None:
-    """RangeError unless every symbol of the word is at most sys_.m."""
+    """DomainError unless word is a Word; RangeError unless every symbol is
+    at most sys_.m."""
+    if not isinstance(word, Word):
+        raise DomainError(f"word must be a Word, not {type(word).__name__}")
     if len(word) and int(word.symbols.max()) > sys_.m:
         raise RangeError(f"word uses symbol {int(word.symbols.max())} but "
                          f"the system has m={sys_.m}")
@@ -355,9 +358,9 @@ def lse_root(a, b, t0: float, c: float = 0.0) -> float:
 
 def word_stats(sys_: WeightedSystem, word: Word) -> WordStats:
     """Mass p_a, size r_a and exponent log p_a / log r_a of a word."""
+    lp, lr = word_log_arrays(sys_, word)
     if len(word) == 0:
         raise EmptyWordError("word_stats needs at least one symbol")
-    lp, lr = word_log_arrays(sys_, word)
     log_p = float(lp.sum())
     log_r = float(lr.sum())
     return WordStats(log_p, log_r, log_p / log_r)

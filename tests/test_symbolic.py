@@ -30,6 +30,8 @@ from multifractal import (
     abundance_report,
     assouad_estimate,
     block_alphabet,
+    cylinder_interval,
+    fixed_point,
     gamma_n_alpha,
     greedy_word,
     local_dim_prefixes,
@@ -151,6 +153,24 @@ def per_length_scan(sys_, word, n_lo, n_hi):
     cr = np.concatenate([[0.0], np.cumsum(lr)])
     return np.array([np.max((cp[n:] - cp[:-n]) / (cr[n:] - cr[:-n]))
                      for n in range(n_lo, n_hi + 1)])
+
+
+WORD_KINDS = ("random", "greedy", "periodic", "constant")
+
+
+def scan_word(kind, sys_, rng, length):
+    """A word of the given kind: uniform letters, a greedy chase of a seeded
+    alpha, a short seeded pattern repeated, or one letter repeated."""
+    if kind == "greedy":
+        lo, hi = alpha_bounds(sys_)
+        return greedy_word(sys_, lo + rng.uniform(0.1, 0.9) * (hi - lo),
+                           length)
+    if kind == "periodic":
+        pattern = Word(rng.integers(1, sys_.m + 1, rng.integers(1, 6)))
+        return Word.periodic(pattern, length)
+    if kind == "constant":
+        return Word.constant(int(rng.integers(1, sys_.m + 1)), length)
+    return Word(rng.integers(1, sys_.m + 1, length))
 
 
 def top_quartile(size):
@@ -345,40 +365,83 @@ class TestAssouadEstimate:
 
     @pytest.mark.parametrize("cells", [1, 50, 333, None])
     @settings(max_examples=40, deadline=None)
-    @given(case=window_cases())
-    @example(case=(2, 0, 1, 1, 1))
-    @example(case=(3, 1, 40, 7, 8))
-    @example(case=(4, 2, 40, 38, 40))
-    @example(case=(2, 3, 3000, 1, 3000))
-    def test_estimate_is_the_top_quartile_max(self, cells, case):
+    @given(case=window_cases(), kind=st.sampled_from(WORD_KINDS),
+           stalled=st.booleans())
+    @example(case=(2, 0, 1, 1, 1), kind="random", stalled=False)
+    @example(case=(3, 1, 40, 7, 8), kind="random", stalled=False)
+    @example(case=(4, 2, 40, 38, 40), kind="random", stalled=False)
+    @example(case=(2, 3, 3000, 1, 3000), kind="random", stalled=False)
+    @example(case=(2, 4, 3000, 500, 1000), kind="greedy", stalled=False)
+    @example(case=(3, 5, 3000, 100, 1000), kind="periodic", stalled=False)
+    @example(case=(2, 6, 2000, 10, 1500), kind="constant", stalled=False)
+    @example(case=(3, 7, 2000, 50, 400), kind="random", stalled=True)
+    def test_estimate_is_the_top_quartile_max(self, cells, case, kind,
+                                              stalled):
         m, seed, length, lo, hi = case
         rng = np.random.default_rng(seed)
         sys_ = random_weighted_system(m, rng)
-        word = Word(rng.integers(1, m + 1, length))
-        with pytest.MonkeyPatch.context() as mp:
+        if stalled:  # log r_1 = -2^-53, absorbed once |R| reaches 2
+            sys_ = WeightedSystem(sys_.probs,
+                                  (1.0 - 2.0 ** -53,) + sys_.ratios[1:])
+        word = scan_word(kind, sys_, rng, length)
+        # a stalled R leaves windows with log r_a = 0, whose ratio is -inf
+        with pytest.MonkeyPatch.context() as mp, \
+                np.errstate(divide="ignore", invalid="ignore"):
             if cells is not None:
                 mp.setattr(symbolic, "SCAN_CELLS", cells)
             est = assouad_estimate(sys_, word, (lo, hi))
             sups = window_sups(sys_, word, (lo, hi))
-        want = per_length_scan(sys_, word, lo, hi)
-        assert np.array_equal(sups, want)
-        assert est.estimate == want[top_quartile(want.size):].max()
+            want = per_length_scan(sys_, word, lo, hi)
+        assert np.array_equal(sups, want, equal_nan=True)
+        top = want[top_quartile(want.size):].max()
+        assert est.estimate == top or math.isnan(est.estimate) and \
+            math.isnan(top)
 
     @pytest.mark.parametrize("lo, hi", [(1, 1), (10, 11), (10, 12),
                                         (100, 900), (500, 1000)])
-    def test_call_scans_only_the_top_quartile(self, s1, monkeypatch, lo, hi):
+    @pytest.mark.parametrize("text", ["1" * 1000, "1" * 997 + "222",
+                                      "222" + "1" * 997, "122" * 333 + "1"],
+                             ids=["ones", "ones_twos", "twos_ones",
+                                  "periodic_122"])
+    def test_window_max_falls_back_only_when_r_stalls(self, monkeypatch, lo,
+                                                      hi, text):
+        # r_1 = 1 - 2^-53 adds -2^-53 to R, which rounding absorbs once
+        # |R| >= 2, so R stalls where a 1 follows a 2 (log r_2 = -1.39).
+        # The search runs only where every window has log r_a < 0.
+        sys_ = WeightedSystem((0.5, 0.5), (1.0 - 2.0 ** -53, 0.25))
+        word = Word.from_string(text)
         scanned = []
         scan = symbolic._window_sups
 
         def counting(*args):
             sups = scan(*args)
-            scanned.append(sups.size)
+            scanned.append(args[2:])
             return sups
 
         monkeypatch.setattr(symbolic, "_window_sups", counting)
-        est = assouad_estimate(s1, Word.periodic("122", 1000), (lo, hi))
-        size = est.ns.size
-        assert scanned == [size - top_quartile(size)]
+        with np.errstate(divide="ignore"):
+            est = assouad_estimate(sys_, word, (lo, hi))
+            n_top = lo + top_quartile(hi - lo + 1)
+            want = per_length_scan(sys_, word, n_top, hi).max()
+        stalls = "21" in text
+        assert stalls != bool(np.all(np.diff(np.cumsum(
+            word_log_arrays(sys_, word)[1])) < 0))
+        assert scanned == ([(n_top, hi)] if stalls else [])
+        assert est.estimate == want
+
+    def test_search_memory_on_a_long_word(self, s1):
+        # The per-length scan peaked at 48.0 MB on this input. The search
+        # holds the two prefix sums and three work rows, 40 bytes a letter,
+        # and scans the surviving ends in batches of SCAN_CELLS.
+        word = greedy_word(s1, 1.1, 10 ** 6)
+        tracemalloc.start()
+        try:
+            est = assouad_estimate(s1, word, (500, 1000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.estimate == window_sups(s1, word, (875, 1000)).max()
+        assert peak < 44e6
 
     def test_estimate_is_a_plain_record(self, s1):
         w = Word.periodic("122", 1000)
@@ -1074,3 +1137,52 @@ class TestAbundance:
         with pytest.raises(RangeError, match="symbol 3 but the system has m=2"):
             abundance_report(s1, 8, 0.25, kappa)
 
+
+@pytest.mark.parametrize("call", [
+    lambda s: greedy_word(s, "x", 10),
+    lambda s: greedy_word(s, None, 10),
+    lambda s: moran_construct(s, "x", 0.1, 16, 3),
+    lambda s: moran_construct(s, 1.0, "x", 16, 3),
+    lambda s: abundance_report(s, 8, "x", "12"),
+    lambda s: block_alphabet(s, 8, "x"),
+    lambda s: block_alphabet(s, 8, math.nan),
+    lambda s: gamma_n_alpha(s, 8, math.nan),
+], ids=["greedy_str", "greedy_none", "moran_alpha", "moran_eps",
+        "abundance_delta", "block_str", "block_nan", "gamma_nan"])
+def test_real_arguments_that_are_not_numbers(s1, call):
+    symbolic._walk.cache_clear()
+    with pytest.raises(DomainError):
+        call(s1)
+
+
+def test_alpha_cap_is_the_given_value(s1):
+    # the memo is typed, so an int cut keeps its own entry and alpha_cap
+    assert type(block_alphabet(s1, 8, 1).alpha_cap) is int
+    assert type(block_alphabet(s1, 8, 1.0).alpha_cap) is float
+    assert block_alphabet(s1, 8, 1).rows == block_alphabet(s1, 8, 1.0).rows
+
+
+WORD_ENTRY_POINTS = {
+    "assouad_estimate": lambda s, w: assouad_estimate(s, w, (1, 3)),
+    "window_sups": lambda s, w: window_sups(s, w, (1, 2)),
+    "local_dim_prefixes": lambda s, w: local_dim_prefixes(s, w, [1, 2]),
+    "word_stats": word_stats,
+    "fixed_point": fixed_point,
+    "cylinder_interval": cylinder_interval,
+    "block_alphabet": lambda s, w: block_alphabet(s, 4, None, w),
+}
+
+
+@pytest.mark.parametrize("word", [[1, 2, 1, 2, 1, 2], np.array([1, 2, 1]),
+                                  (1, 2), 5], ids=["list", "array", "tuple",
+                                                   "int"])
+@pytest.mark.parametrize("entry", list(WORD_ENTRY_POINTS))
+def test_word_that_is_not_a_word(s1, entry, word):
+    with pytest.raises(DomainError, match="word must be a Word, not"):
+        WORD_ENTRY_POINTS[entry](s1, word)
+
+
+def test_string_word_is_not_a_word(s1):
+    # block_alphabet reads a string tail as a Word; the scans do not
+    with pytest.raises(DomainError, match="word must be a Word, not str"):
+        window_sups(s1, "1212", (1, 2))
