@@ -17,6 +17,7 @@ endpoints resolved to the left cylinder.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -100,21 +101,32 @@ def _dyadic(v: float) -> tuple[int, int]:
     return n, d.bit_length() - 1
 
 
-def _affine_of_word(sys_: WeightedSystem, word: Word) -> tuple[float, float]:
-    # composition of x -> r_i x + t_i over the word, as (scale, offset)
+@functools.lru_cache(maxsize=1)
+def _maps(sys_: WeightedSystem) -> tuple[int, tuple]:
+    """(k, children): each map's (t_i, r_i) as integers over 2^k, with p_i.
+    Every hull is built from these. One entry: callers use one system."""
+    maps = [_dyadic(v) for v in (*sys_.ratios, *sys_.translations)]
+    k = max(e for _, e in maps)
+    ints = [n << (k - e) for n, e in maps]
+    return k, tuple(zip(ints[sys_.m:], ints[:sys_.m], sys_.probs))
+
+
+def _hull(sys_: WeightedSystem, word: Word) -> tuple[int, int, int]:
+    """(lo, size, e): the word's cylinder is exactly [lo, lo + size] / 2^e."""
     check_symbols(sys_, word)
-    scale, offset = 1.0, 0.0
-    for a in word:
-        offset += scale * sys_.translations[a - 1]
-        scale *= sys_.ratios[a - 1]
-    return scale, offset
+    k, children = _maps(sys_)
+    lo, size = 0, 1
+    for a in word:  # ball_measure's child step, one letter at a time
+        t_i, r_i, _ = children[a - 1]
+        lo, size = (lo << k) + size * t_i, size * r_i
+    return lo, size, k * len(word)
 
 
 def cylinder_interval(sys_: WeightedSystem, word: Word) -> tuple[float, float]:
-    """Hull of the cylinder: the word's map composition applied to [0,1]."""
+    """Hull of the cylinder, each end rounded once (so it holds every point)."""
     _require_geometry(sys_)
-    scale, offset = _affine_of_word(sys_, word)
-    return offset, offset + scale
+    lo, size, e = _hull(sys_, word)
+    return lo / (1 << e), (lo + size) / (1 << e)
 
 
 def ball_measure(sys_: WeightedSystem, x: float, r: float,
@@ -138,10 +150,8 @@ def ball_measure(sys_: WeightedSystem, x: float, r: float,
     cap = math.inf if depth_cap is None else as_index("depth_cap", depth_cap)
     if cap < 0:
         raise DomainError("depth_cap must be nonnegative")
-    # Exact arithmetic on integers: with every r_i, t_i a multiple of 2^-k
-    # and x, r, tol multiples of 2^-b, a depth-d hull is (n, s) / 2^(b+k*d).
-    # Float accumulation would misclassify boundary cylinders once depth
-    # exceeds the 53-bit mantissa.
+    # With r_i, t_i over 2^k (_maps) and x, r, tol over 2^b, a depth-d hull
+    # is exactly (n, s) / 2^(b + k*d), where floats would round past 53 bits.
     x_n, x_e = _dyadic(x)
     r_n, r_e = _dyadic(r)
     tol_n, tol_e = _dyadic(tol)
@@ -149,10 +159,7 @@ def ball_measure(sys_: WeightedSystem, x: float, r: float,
     x_n <<= b - x_e
     r_n <<= b - r_e
     los, his, tols = [x_n - r_n], [x_n + r_n], [tol_n << (b - tol_e)]
-    maps = [_dyadic(v) for v in (*sys_.ratios, *sys_.translations)]
-    k = max(e for _, e in maps)
-    ints = [n << (k - e) for n, e in maps]
-    children = list(zip(ints[sys_.m:], ints[:sys_.m], sys_.probs))
+    k, children = _maps(sys_)
     lower = 0.0
     straddle = 0.0
     depth_used = 0
@@ -213,7 +220,7 @@ def doubling_scan(sys_: WeightedSystem, x: float, gamma: float, scales,
     the supremum of the doubling ratio over the scanned scales.
     """
     _require_geometry(sys_)
-    [gamma] = _require_finite(gamma=gamma)
+    gamma, rel_tol = _require_finite(gamma=gamma, rel_tol=rel_tol)
     if gamma <= 1.0:
         raise DomainError("gamma must exceed 1")
     rs = _finite_scales(scales)
@@ -242,7 +249,7 @@ def assouad_scan(sys_: WeightedSystem, x: float, scales,
     upper bound at a point.
     """
     _require_geometry(sys_)
-    [min_ratio] = _require_finite(min_ratio=min_ratio)
+    min_ratio, rel_tol = _require_finite(min_ratio=min_ratio, rel_tol=rel_tol)
     rs = sorted(set(_finite_scales(scales)), reverse=True)
     if len(rs) < 2:
         raise DomainError("need at least two scales")
@@ -323,6 +330,9 @@ def non_doubling_witness(sys_: WeightedSystem, n_target: float,
             k += 1
         return k
 
+    shift, children = _maps(sys_)
+    hulls = {}  # side -> (k, lo, size): side[0] side[1]^k over 2^(shift(k+1))
+
     def pair_at(side_i, side_j, k: int) -> WitnessPair | None:
         log_ratio_k = log_ratio(side_i, side_j, k)
         if log_ratio_k < floor:
@@ -335,14 +345,18 @@ def non_doubling_witness(sys_: WeightedSystem, n_target: float,
         if math.exp(min(lr[side_i[0] - 1] + k * lr[side_i[1] - 1],
                         lr[side_j[0] - 1] + k * lr[side_j[1] - 1])) == 0.0:
             raise DomainError(f"cylinder size at depth {k} underflows to 0")
-        wi = Word([side_i[0]] + [side_i[1]] * k)
-        wj = Word([side_j[0]] + [side_j[1]] * k)
-        lo_i, hi_i = cylinder_interval(sys_, wi)
-        lo_j, hi_j = cylinder_interval(sys_, wj)
-        gap = max(0.0, lo_j - hi_i, lo_i - hi_j)
-        if gap > word_stats(sys_, wi).r:
+        for a, b in side_i, side_j:  # grow each exact hull to depth k
+            depth, lo, size = hulls.get((a, b)) or (0, *children[a - 1][:2])
+            t_b, r_b, _ = children[b - 1]
+            for _ in range(k - depth):  # _hull's step
+                lo, size = (lo << shift) + size * t_b, size * r_b
+            hulls[a, b] = k, lo, size
+        (_, lo_i, size_i), (_, lo_j, size_j) = hulls[side_i], hulls[side_j]
+        gap = max(0, lo_j - lo_i - size_i, lo_i - lo_j - size_j)
+        if gap > size_i:
             return None
-        return WitnessPair(wi, wj, ratio, gap)
+        return WitnessPair(*(Word([a] + [b] * k) for a, b in (side_i, side_j)),
+                           ratio, gap / (1 << (shift * (k + 1))))
 
     # every seed fails the ratio test at the depths below start
     start = min((first_depth(*seed) for seed in seeds), default=depth_cap)
@@ -357,6 +371,7 @@ def non_doubling_witness(sys_: WeightedSystem, n_target: float,
 def coding_of(sys_: WeightedSystem, x: float, depth: int) -> Word:
     """Cylinder chain containing x; shared endpoints go to the left cylinder."""
     _require_geometry(sys_)
+    [x] = _require_finite(x=x)
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x={x} outside [0, 1]")
     if as_index("depth", depth) < 0:
@@ -378,10 +393,10 @@ def coding_of(sys_: WeightedSystem, x: float, depth: int) -> Word:
 def fixed_point(sys_: WeightedSystem, word: Word) -> float:
     """Fixed point of the word's map composition: the point coded (word)^inf."""
     _require_geometry(sys_)
-    scale, offset = _affine_of_word(sys_, word)
+    lo, size, e = _hull(sys_, word)
     if len(word) == 0:
         raise EmptyWordError("fixed point of the empty composition is undefined")
-    return offset / (1.0 - scale)
+    return lo / ((1 << e) - size)  # x = (lo + size * x) / 2^e, rounded once
 
 
 def appended_gap_radius(sys_: WeightedSystem, kappa: Word | str) -> float:
@@ -394,13 +409,13 @@ def appended_gap_radius(sys_: WeightedSystem, kappa: Word | str) -> float:
     _require_geometry(sys_)
     if isinstance(kappa, str):
         kappa = Word.from_string(kappa)
-    lo_k, hi_k = cylinder_interval(sys_, kappa)
-    images = sorted((sys_.translations[i] + sys_.ratios[i] * lo_k,
-                     sys_.translations[i] + sys_.ratios[i] * hi_k)
-                    for i in range(sys_.m))
-    gaps = [images[0][0], 1.0 - images[-1][1]]
+    lo, size, e = _hull(sys_, kappa)
+    k, children = _maps(sys_)  # images: the hulls of i + kappa over 2^(e + k)
+    images = sorted(((t_i << e) + r_i * lo, (t_i << e) + r_i * (lo + size))
+                    for t_i, r_i, _ in children)
+    gaps = [images[0][0], (1 << (e + k)) - images[-1][1]]
     gaps.extend(nxt[0] - cur[1] for cur, nxt in zip(images, images[1:]))
-    delta = min(gaps) / 2.0
+    delta = min(gaps) / (1 << (e + k + 1))
     if delta <= 0.0:
         raise DomainError("kappa's hull must be interior to (0, 1) with "
                           "separated first-level images")

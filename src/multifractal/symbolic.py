@@ -41,6 +41,7 @@ from .system import (
     Word,
     alpha_bounds,
     as_index,
+    as_indices,
     as_real,
     check_symbols,
     logsumexp,
@@ -90,7 +91,7 @@ def type_class_log_count(counts: Sequence[int]) -> TypeClassCount:
     with q = counts / n the sandwich is
     n*H(q) - (m+1)*log(n+1) <= log #T <= n*H(q).
     """
-    counts = [as_index("symbol count", c) for c in counts]
+    counts = as_indices("symbol counts", counts)
     if not counts or min(counts) < 0:
         raise DomainError("need one or more nonnegative symbol counts")
     n, m = sum(counts), len(counts)
@@ -109,7 +110,7 @@ def type_class_log_count(counts: Sequence[int]) -> TypeClassCount:
 def local_dim_prefixes(sys_: WeightedSystem, word: Word, depths) -> np.ndarray:
     """Prefix exponents log p_(w|d) / log r_(w|d) at the requested depths."""
     lp, lr = word_log_arrays(sys_, word)
-    ds = [as_index("depth", d) for d in depths]
+    ds = as_indices("depths", depths)
     if not ds:
         return np.array([])
     if min(ds) < 1:

@@ -239,6 +239,8 @@ class Word:
 
     @classmethod
     def from_string(cls, text: str) -> "Word":
+        if not isinstance(text, str):
+            raise FormatError(f"word must be a string, not {type(text).__name__}")
         text = text.strip()
         tokens = text.split(",") if "," in text else text
         try:
@@ -285,6 +287,15 @@ def as_index(name: str, value) -> int:
         return operator.index(value)
     except TypeError as exc:
         raise DomainError(f"{name} must be an integer: {exc}") from exc
+
+
+def as_indices(name: str, values) -> list[int]:
+    """values as a list of Python ints by as_index; DomainError otherwise."""
+    try:
+        items = list(values)
+    except TypeError as exc:
+        raise DomainError(f"{name} must be integers: {exc}") from exc
+    return [as_index(name, v) for v in items]
 
 
 def as_real(name: str, value) -> float:

@@ -34,6 +34,9 @@ from multifractal import (
 )
 
 A_MAX = 1.5849625007211563
+# ratio and translations 1/3, 2/3 as stored: floats, not the rationals
+THIRDS = load_system({"probs": [0.2, 0.3, 0.5], "ratios": [1 / 3] * 3,
+                      "translations": [0.0, 1 / 3, 2 / 3]})
 
 
 def fraction_ball_measure(sys_, x, r, tol=1e-12, depth_cap=None):
@@ -68,6 +71,15 @@ def fraction_ball_measure(sys_, x, r, tol=1e-12, depth_cap=None):
             stack.append((t + size * trans[i], size * ratios[i],
                           mass * probs[i], depth + 1))
     return lower, lower + straddle, depth_used, straddle
+
+
+def fraction_hull(sys_, word):
+    """(lo, size) of the word's cylinder, composed on exact Fraction maps."""
+    lo, size = Fraction(0), Fraction(1)
+    for a in word:
+        lo += size * Fraction(sys_.translations[a - 1])
+        size *= Fraction(sys_.ratios[a - 1])
+    return lo, size
 
 
 def seeded_queries(rng, sys_, count):
@@ -284,6 +296,18 @@ class TestDoublingScan:
             doubling_scan(s1, bad, 2.0, [0.1])
 
 
+@pytest.mark.parametrize("bad", [None, "x", [1, 2], 1 + 1j],
+                         ids=["none", "str", "list", "complex"])
+@pytest.mark.parametrize("call", [
+    lambda s, v: doubling_scan(s, 0.3, 2.0, [0.5, 0.25], rel_tol=v),
+    lambda s, v: assouad_scan(s, 0.3, [0.5, 0.25], rel_tol=v),
+    lambda s, v: coding_of(s, v, 3),
+], ids=["doubling_scan_rel_tol", "assouad_scan_rel_tol", "coding_of_x"])
+def test_real_arguments_that_are_not_numbers(s1, call, bad):
+    with pytest.raises(DomainError, match="must be a number"):
+        call(s1, bad)
+
+
 class TestAssouadScan:
     def test_left_edge_exact_exponent(self, s1):
         """Every pair at x=0 certifies exactly log2(3)."""
@@ -356,7 +380,8 @@ def seed_log_ratio(sys_, seed, k):
 
 
 def walking_witness(sys_, n_target, depth_cap):
-    """The witness search tried at every depth from 0, as the oracle.
+    """The witness search tried at every depth from 0, on exact Fraction
+    hulls, as the oracle.
 
     Returns (i, j, mass_ratio, gap) of the first pair found, or None.
     """
@@ -368,16 +393,16 @@ def walking_witness(sys_, n_target, depth_cap):
                 continue
             (i0, i1), (j0, j1) = seed
             wi, wj = Word([i0] + [i1] * k), Word([j0] + [j1] * k)
-            lo_i, hi_i = cylinder_interval(sys_, wi)
-            lo_j, hi_j = cylinder_interval(sys_, wj)
-            if hi_i < lo_j:
-                gap = lo_j - hi_i
-            elif hi_j < lo_i:
-                gap = lo_i - hi_j
+            (lo_i, size_i), (lo_j, size_j) = (fraction_hull(sys_, wi),
+                                              fraction_hull(sys_, wj))
+            if lo_i + size_i < lo_j:
+                gap = lo_j - lo_i - size_i
+            elif lo_j + size_j < lo_i:
+                gap = lo_i - lo_j - size_j
             else:
-                gap = 0.0
-            if gap <= word_stats(sys_, wi).r:
-                return str(wi), str(wj), math.exp(log_ratio), gap
+                gap = Fraction(0)
+            if gap <= size_i:
+                return str(wi), str(wj), math.exp(log_ratio), float(gap)
     return None
 
 
@@ -416,6 +441,16 @@ class TestWitness:
         got = non_doubling_witness(sys_, n_target, depth_cap)
         assert (None if got is None else
                 (str(got.i), str(got.j), got.mass_ratio, got.gap)) == want
+
+    def test_thirds_gap_is_exact(self):
+        # the pair meets the shared point 1/3 from both sides; as stored, the
+        # right map ends 2^-54 short of 1, so the exact gap is not 0
+        w = non_doubling_witness(THIRDS, 1e6, depth_cap=40)
+        assert (str(w.i), str(w.j)) == ("2" + "1" * 16, "1" + "3" * 16)
+        (lo_i, _), (lo_j, size_j) = (fraction_hull(THIRDS, w.i),
+                                     fraction_hull(THIRDS, w.j))
+        assert w.gap == float(lo_i - lo_j - size_j)
+        assert w.gap == pytest.approx(2.78e-17, rel=1e-3)
 
     def test_overflowing_mass_ratio_is_a_domain_error(self, s1):
         with pytest.raises(DomainError, match="overflows"):
@@ -474,6 +509,52 @@ class TestWitness:
     def test_non_finite_target(self, s1, bad):
         with pytest.raises(DomainError, match="not finite"):
             non_doubling_witness(s1, bad)
+
+
+def assert_rounded_once(sys_, word):
+    """cylinder_interval, fixed_point and appended_gap_radius equal float()
+    of the exact Fraction values."""
+    lo, size = fraction_hull(sys_, word)
+    assert cylinder_interval(sys_, word) == (float(lo), float(lo + size))
+    if len(word):
+        assert fixed_point(sys_, word) == float(lo / (1 - size))
+    images = sorted((lo_i, lo_i + size_i) for lo_i, size_i in (
+        fraction_hull(sys_, Word([i]) + word) for i in range(1, sys_.m + 1)))
+    gaps = [images[0][0], 1 - images[-1][1]]
+    gaps += [nxt[0] - cur[1] for cur, nxt in zip(images, images[1:])]
+    delta = float(min(gaps) / 2)
+    if delta > 0.0:
+        assert appended_gap_radius(sys_, word) == delta
+    else:
+        with pytest.raises(DomainError, match="interior"):
+            appended_gap_radius(sys_, word)
+
+
+def random_words(rng, sys_, count):
+    """count seeded words of 0 to 16 letters over sys_'s alphabet."""
+    return [Word(rng.integers(1, sys_.m + 1, size=int(rng.integers(0, 17))))
+            for _ in range(count)]
+
+
+class TestRoundedOnce:
+    """Hulls, fixed points and gaps come from one exact form of the maps."""
+
+    def test_seeded_gapped_systems(self, random_system):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            sys_ = random_system(rng)
+            for word in random_words(rng, sys_, 15):
+                assert_rounded_once(sys_, word)
+
+    def test_thirds(self):
+        for word in random_words(np.random.default_rng(6), THIRDS, 200):
+            assert_rounded_once(THIRDS, word)
+
+    @given(sys_=touching_systems(),
+           symbols=st.lists(st.integers(1, 4), max_size=16))
+    @settings(max_examples=200, deadline=None)
+    def test_touching_systems(self, sys_, symbols):
+        assert_rounded_once(sys_, Word([min(a, sys_.m) for a in symbols]))
 
 
 class TestCoding:

@@ -260,6 +260,11 @@ class TestTypeClassCount:
         with pytest.raises(DomainError):
             type_class_log_count(counts)
 
+    @pytest.mark.parametrize("counts", [5, None, 2.0])
+    def test_counts_that_are_not_iterable(self, counts):
+        with pytest.raises(DomainError, match="symbol counts must be integers"):
+            type_class_log_count(counts)
+
     def test_numpy_integer_counts(self):
         assert type_class_log_count(np.array([3, 5])) == \
             type_class_log_count([3, 5])
@@ -293,6 +298,11 @@ class TestLocalDimPrefixes:
     @pytest.mark.parametrize("depths", [[2.7, 3.2], [2.0], ["2"], [None]])
     def test_non_integer_depths_rejected(self, s1, depths):
         with pytest.raises(DomainError):
+            local_dim_prefixes(s1, Word.from_string("1221"), depths)
+
+    @pytest.mark.parametrize("depths", [3, None, 2.0])
+    def test_depths_that_are_not_iterable(self, s1, depths):
+        with pytest.raises(DomainError, match="depths must be integers"):
             local_dim_prefixes(s1, Word.from_string("1221"), depths)
 
     def test_numpy_integer_depths(self, s1):

@@ -269,6 +269,12 @@ class TestWord:
         with pytest.raises(FormatError):
             Word.from_string(text)
 
+    @pytest.mark.parametrize("text", [12, None, b"12", ["1", "2"]],
+                             ids=["int", "none", "bytes", "list"])
+    def test_from_string_of_a_non_string_is_a_format_error(self, text):
+        with pytest.raises(FormatError, match="word must be a string, not"):
+            Word.from_string(text)
+
     @pytest.mark.parametrize("symbols", [
         [70000, 1], [2 ** 15], [10 ** 20], np.array([70000, 1]),
         np.array([2 ** 40], dtype=np.uint64)])
