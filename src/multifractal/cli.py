@@ -34,11 +34,11 @@ from .symbolic import (
     moran_dimension,
     window_sups,
 )
-from .system import Word, load_system, word_stats
+from .system import COUNT_CAP, Word, load_system, word_stats
 from .tables import emit_object, emit_table
 
 # largest grid count, word or spine length taken from argv, before allocation
-MAX_COUNT = 10 ** 7
+MAX_COUNT = COUNT_CAP
 
 
 class _HelpShown(Exception):

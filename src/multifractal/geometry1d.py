@@ -21,8 +21,15 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import BudgetError, DomainError, EmptyWordError, NoGeometryError
+from .errors import (
+    BudgetError,
+    DomainError,
+    EmptyWordError,
+    NoGeometryError,
+    SizeCapError,
+)
 from .system import (
+    COUNT_CAP,
     GEOM_TOL,
     WeightedSystem,
     Word,
@@ -86,7 +93,7 @@ def _require_finite(**values: float) -> list[float]:
 def _finite_scales(scales) -> list[float]:
     try:
         rs = [float(s) for s in scales]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"scales must be numbers: {exc}") from exc
     if not all(map(math.isfinite, rs)):
         raise DomainError("scales must be finite")
@@ -374,8 +381,11 @@ def coding_of(sys_: WeightedSystem, x: float, depth: int) -> Word:
     [x] = _require_finite(x=x)
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x={x} outside [0, 1]")
-    if as_index("depth", depth) < 0:
+    depth = as_index("depth", depth)
+    if depth < 0:
         raise DomainError("depth must be nonnegative")
+    if depth > COUNT_CAP:
+        raise SizeCapError(f"depth {depth} exceeds {COUNT_CAP}")
     order = sorted(range(sys_.m), key=lambda i: sys_.translations[i])
     symbols = []
     for _ in range(depth):

@@ -1,13 +1,14 @@
 """L^q spectrum, local dimension range, and Legendre multifractal spectrum.
 
 tau(q) is the unique root of sum_i p_i^q r_i^tau = 1, found to float
-resolution by monotone Newton steps from below (system.lse_root); q must be
-finite, with |q| at most the system's q_limit. The associated tilted weight
-vector w_i = p_i^q r_i^tau(q) drives alpha(q) (cross-entropy over Lyapunov
-exponent) and the spectrum f(alpha), computed both as the Legendre value
-alpha*q + tau(q) and via the explicit entropy quotient; the two routes must
-agree. The upper envelope f_bar flattens f at the value tau(0) to the right
-of alpha(0).
+resolution by monotone Newton steps from below (system.lse_newton), started
+at the largest single-term root; q must be finite, with |q| at most the
+system's q_limit. The associated tilted weight vector w_i = p_i^q
+r_i^tau(q), which the last Newton step already holds, drives alpha(q)
+(cross-entropy over Lyapunov exponent) and the spectrum f(alpha), computed
+both as the Legendre value alpha*q + tau(q) and via the explicit entropy
+quotient; the two routes must agree. The upper envelope f_bar flattens f at
+the value tau(0) to the right of alpha(0).
 
 Degenerate systems (constant log p_i / log r_i) collapse to a single-point
 spectrum; operations return that point instead of erroring.
@@ -26,7 +27,7 @@ from .system import (
     WeightedSystem,
     alpha_bounds,
     as_real,
-    lse_root,
+    lse_newton,
     xlogx,
 )
 
@@ -36,14 +37,12 @@ F_CONSISTENCY_TOL = 1e-8
 F_ENDPOINT_TOL = 1e-3
 
 
-def solve_tau(sys_: WeightedSystem, q: float) -> float:
-    """Root tau(q) of sum p_i^q r_i^tau = 1, by Newton from below.
+def _tilt(sys_: WeightedSystem, q: float) -> tuple[float, np.ndarray]:
+    """tau(q) and the normalized weights w_i proportional to p_i^q r_i^tau(q).
 
-    At t0 = min_i(-q log p_i / log r_i) every term p_i^q r_i^t0 is at least
-    1, so the log of the sum is positive there and lse_root can start.
-    A NaN or infinite q, or one beyond sys_.q_limit where the terms could
-    overflow, raises DomainError before any arithmetic on it, as does a q
-    that is not a number.
+    The one checked way into the Newton solve: solve_tau and every tilt
+    reach lse_newton through here. The weights are the ones its last step
+    computed at the returned tau.
     """
     q = as_real("q", q)
     if not math.isfinite(q):
@@ -51,16 +50,33 @@ def solve_tau(sys_: WeightedSystem, q: float) -> float:
     if abs(q) > sys_.q_limit:
         raise DomainError(f"|q|={abs(q)} exceeds {sys_.q_limit:.6g}")
     a = q * sys_.log_probs
-    return lse_root(a, sys_.log_ratios, (-a / sys_.log_ratios).min())
+    if q == 1.0:  # sum p_i = 1: the root is 0, and Newton could round off it
+        w = np.exp(a - a.max())
+        return 0.0, w / w.sum()
+    amin, amax = sys_.alpha_range
+    return lse_newton(a, sys_.log_ratios, -q * (amin if q > 0.0 else amax))
 
 
-def _tilt(sys_: WeightedSystem, q: float) -> tuple[float, np.ndarray]:
-    """tau(q) and the normalized weights w_i proportional to p_i^q r_i^tau(q)."""
-    q = as_real("q", q)
-    tau = solve_tau(sys_, q)
-    x = q * sys_.log_probs + tau * sys_.log_ratios
-    w = np.exp(x - x.max())
-    return tau, w / w.sum()
+def solve_tau(sys_: WeightedSystem, q: float) -> float:
+    """Root tau(q) of sum p_i^q r_i^tau = 1, by Newton from below.
+
+    Newton starts at t0 = max_i(-q log p_i / log r_i), which is -q alpha_min
+    for q > 0 and -q alpha_max for q < 0. There every term p_i^q r_i^t0 is
+    at most 1 and the top one equals 1, so the log of the sum lies in
+    [0, log m]: Newton can start, and the root lies at most
+    log m / min|log r_i| above t0. Rounding can put t0 an ulp past the
+    exact start, and the log of the sum may then round to 0 or below, so
+    that lse_newton returns t0 itself. That needs the other terms to sum to
+    less than the rounding error of the top term's exponent, a few ulps of
+    |q log p_i|; the root then lies within that error over min|log r_i| of
+    t0, which is float resolution. At q = 1 the root is 0, as the p_i sum
+    to 1, and 0.0 is returned exactly.
+
+    A NaN or infinite q, or one beyond sys_.q_limit where the terms could
+    overflow, raises DomainError before any arithmetic on it, as does a q
+    that is not a number or is past the float range.
+    """
+    return _tilt(sys_, q)[0]
 
 
 def tilted_vector(sys_: WeightedSystem, q: float) -> np.ndarray:
@@ -186,7 +202,7 @@ def legendre_numeric(sys_: WeightedSystem, alpha, q_grid=None):
         qs = (default_q_grid() if q_grid is None
               else np.asarray(q_grid, dtype=float))
         a = np.asarray(alpha, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(
             f"alpha and the q grid must be numbers: {exc}") from exc
     if qs.ndim != 1 or not qs.size:
@@ -213,7 +229,7 @@ def spectrum_table(sys_: WeightedSystem, q_values) -> tuple[SpectrumRow, ...]:
     """Rows (q, tau, alpha, f, f_bar) for each requested q, in order."""
     try:
         qs = [float(q) for q in q_values]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"q values must be numbers: {exc}") from exc
     tau0, w0 = _tilt(sys_, 0.0)
     alpha0 = _alpha_from_weights(sys_, w0)

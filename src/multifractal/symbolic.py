@@ -19,6 +19,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -37,6 +38,7 @@ from .errors import (
 )
 from .spectrum import f_bar
 from .system import (
+    COUNT_CAP,
     WeightedSystem,
     Word,
     alpha_bounds,
@@ -95,6 +97,8 @@ def type_class_log_count(counts: Sequence[int]) -> TypeClassCount:
     if not counts or min(counts) < 0:
         raise DomainError("need one or more nonnegative symbol counts")
     n, m = sum(counts), len(counts)
+    if n > sys.float_info.max:  # an int compares exactly with a float
+        raise DomainError("the symbol counts sum past the float range")
     count = _multinomial(n, counts)
     total = 0.0  # sum of f log f over the frequencies, 0 log 0 = 0
     for c in counts:
@@ -535,6 +539,8 @@ def greedy_word(sys_: WeightedSystem, alpha: float, length: int) -> Word:
     length = as_index("length", length)
     if length < 1:
         raise DomainError("length must be positive")
+    if length > COUNT_CAP:
+        raise SizeCapError(f"length {length} exceeds {COUNT_CAP}")
     a_lo, a_hi = alpha_bounds(sys_)
     if not (a_lo - 1e-9 <= alpha <= a_hi + 1e-9):
         raise DomainError(f"alpha={alpha} outside [{a_lo}, {a_hi}]")
@@ -614,8 +620,12 @@ def moran_construct(sys_: WeightedSystem, alpha: float, eps: float, n: int,
         raise DomainError("epsilon must be positive")
     if not math.isfinite(eps):
         raise DomainError(f"epsilon={eps} is not finite")
-    if as_index("stages", stages) < 1:
+    n, stages = as_index("block length", n), as_index("stages", stages)
+    if stages < 1:
         raise DomainError("need at least one stage")
+    if n * stages > COUNT_CAP:
+        raise SizeCapError(f"the spine, {n} * {stages} letters, exceeds "
+                           f"{COUNT_CAP}")
     gamma = block_alphabet(sys_, n, alpha)
     fb = f_bar(sys_, alpha)
     required = fb - eps / 2.0

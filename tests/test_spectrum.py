@@ -16,11 +16,13 @@ from multifractal import (
     doubling_scan,
     f_bar,
     f_of_alpha,
+    greedy_word,
     legendre_numeric,
     q_of_alpha,
     solve_tau,
     spectrum_table,
     tilted_vector,
+    type_class_log_count,
 )
 from multifractal import spectrum
 from multifractal.spectrum import _f_both
@@ -137,6 +139,64 @@ class TestSolveTau:
         qs = np.linspace(-10, 10, 51)
         taus = np.array([solve_tau(s1, q) for q in qs])
         assert (np.diff(taus) < 0).all()
+
+
+def mp_tau(sys_, q: float) -> float:
+    """Root of sum p_i^q r_i^t = 1 from the float inputs, to 60 digits.
+
+    q log p_i and t log r_i nearly cancel, so the working precision carries
+    the digits of q as well. Newton from the largest single-term root rises
+    to the root, as in solve_tau, but in mpmath.
+    """
+    import mpmath  # a test dependency only; the package needs numpy alone
+
+    with mpmath.workdps(60 + int(math.log10(1.0 + abs(q)))):
+        q = mpmath.mpf(q)
+        lp = [mpmath.log(mpmath.mpf(p)) for p in sys_.probs]
+        lr = [mpmath.log(mpmath.mpf(r)) for r in sys_.ratios]
+        t = max(-q * a / b for a, b in zip(lp, lr))
+        for _ in range(100):
+            terms = [mpmath.exp(q * a + t * b) for a, b in zip(lp, lr)]
+            total = mpmath.fsum(terms)
+            slope = mpmath.fsum(w * b for w, b in zip(terms, lr)) / total
+            step = mpmath.log(total) / slope
+            t -= step
+            if abs(step) <= mpmath.mpf(10) ** -50 * max(1, abs(t)):
+                return float(t)
+    raise AssertionError(f"mpmath Newton did not settle at q={q}")
+
+
+ORACLE_Q = st.one_of(st.floats(-spectrum.Q_CAP, spectrum.Q_CAP),
+                     st.sampled_from(["+limit", "-limit", 0.0, 1.0]))
+
+
+def _oracle_q(sys_, q) -> float:
+    return {"+limit": sys_.q_limit, "-limit": -sys_.q_limit}.get(q, q)
+
+
+class TestTauOracle:
+    @given(seed=st.integers(0, 2 ** 32 - 1), q=ORACLE_Q)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_high_precision_root(self, seed, q):
+        s = make_random_system(np.random.default_rng(seed))
+        q = _oracle_q(s, q)
+        tau = solve_tau(s, q)
+        assert abs(tau - mp_tau(s, q)) <= 1e-14 * max(1.0, abs(tau)), (s, q)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_tau1_is_exactly_zero(self, seed):
+        assert solve_tau(make_random_system(np.random.default_rng(seed)),
+                         1.0) == 0.0
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), q=ORACLE_Q)
+    @settings(max_examples=200, deadline=None)
+    def test_tilted_vector_is_the_weights_at_tau(self, seed, q):
+        s = make_random_system(np.random.default_rng(seed))
+        q = _oracle_q(s, q)
+        x = q * s.log_probs + solve_tau(s, q) * s.log_ratios
+        w = np.exp(x - x.max())
+        assert np.array_equal(tilted_vector(s, q), w / w.sum())
 
 
 class TestTiltedVector:
@@ -325,13 +385,14 @@ class TestSpectrumTable:
             assert row.f_bar >= row.f - 1e-12
 
     def test_one_tau_solve_per_row(self, s1, monkeypatch):
+        # _tilt is the one way into the tau solve, solve_tau's included
         calls = []
 
-        def counted(sys_, q):
+        def counted(sys_, q, tilt=spectrum._tilt):
             calls.append(q)
-            return solve_tau(sys_, q)
+            return tilt(sys_, q)
 
-        monkeypatch.setattr(spectrum, "solve_tau", counted)
+        monkeypatch.setattr(spectrum, "_tilt", counted)
         spectrum_table(s1, np.linspace(-5.0, 5.0, 11))
         assert len(calls) == 12  # each row's q, plus q = 0 for f_bar
 
@@ -363,4 +424,25 @@ NOT_NUMBERS = {
 @pytest.mark.parametrize("call", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
 def test_arguments_that_are_not_numbers(s1, call):
     with pytest.raises(DomainError, match="must be (a number|numbers)"):
+        call(s1)
+
+
+PAST_FLOAT_RANGE = {
+    "solve_tau": lambda s: solve_tau(s, 10 ** 400),
+    "f_bar": lambda s: f_bar(s, 10 ** 400),
+    "q_of_alpha": lambda s: q_of_alpha(s, 10 ** 400),
+    "spectrum_table": lambda s: spectrum_table(s, [10 ** 400]),
+    "legendre_alpha": lambda s: legendre_numeric(s, 10 ** 400, [0.0, 1.0]),
+    "legendre_grid": lambda s: legendre_numeric(s, 1.0, [10 ** 400]),
+    "ball_measure": lambda s: ball_measure(s, 10 ** 400, 0.1),
+    "doubling_scales": lambda s: doubling_scan(s, 0.3, 2.0, [10 ** 400]),
+    "greedy_alpha": lambda s: greedy_word(s, 10 ** 400, 5),
+    "type_class_total": lambda s: type_class_log_count([10 ** 400]),
+}
+
+
+@pytest.mark.parametrize("call", PAST_FLOAT_RANGE.values(),
+                         ids=PAST_FLOAT_RANGE)
+def test_ints_past_the_float_range(s1, call):
+    with pytest.raises(DomainError):
         call(s1)

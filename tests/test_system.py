@@ -7,6 +7,7 @@ import pytest
 from multifractal import (
     ArityError,
     DomainError,
+    SizeCapError,
     EmptyWordError,
     FormatError,
     IoError,
@@ -17,11 +18,14 @@ from multifractal import (
     Word,
     alpha_bounds,
     block_alphabet,
+    coding_of,
+    greedy_word,
     load_system,
     moran_construct,
     word_stats,
 )
-from multifractal.system import logsumexp, xlogx
+from multifractal import cli, geometry1d, symbolic
+from multifractal.system import COUNT_CAP, logsumexp, xlogx
 
 from conftest import dump_system
 
@@ -366,3 +370,38 @@ class TestArrayHelpers:
         assert logsumexp([1000.0, 1000.0]) == \
             pytest.approx(1000.0 + math.log(2.0), rel=1e-15)
         assert logsumexp([-1000.0]) == -1000.0
+
+
+# a count at the cap and one past it, with the cap patched small; the calls
+# past the real cap would loop 10^12 to 10^30 times if the cap came late
+COUNTED = {
+    "greedy_length": (lambda s, k: greedy_word(s, 1.0, k), len),
+    "coding_depth": (lambda s, k: coding_of(s, 0.3, k), len),
+    "moran_spine": (lambda s, k: moran_construct(s, 1.2, 0.05, 16, k // 16),
+                    lambda spec: len(spec.spine)),
+}
+
+
+class TestCountCap:
+    def test_cli_limit_is_the_library_cap(self):
+        assert cli.MAX_COUNT == COUNT_CAP == 10 ** 7
+
+    @pytest.mark.parametrize("name", COUNTED)
+    def test_boundary(self, s1, monkeypatch, name):
+        for module in (symbolic, geometry1d):
+            monkeypatch.setattr(module, "COUNT_CAP", 64)
+        call, size = COUNTED[name]
+        assert size(call(s1, 64)) == 64
+        with pytest.raises(SizeCapError, match="exceeds 64"):
+            call(s1, 80)
+
+    @pytest.mark.parametrize("call", [
+        lambda s: greedy_word(s, 1.0, 10 ** 12),
+        lambda s: greedy_word(s, 1.0, COUNT_CAP + 1),
+        lambda s: coding_of(s, 0.3, 10 ** 30),
+        lambda s: moran_construct(s, 1.2, 0.05, 16, stages=10 ** 30),
+        lambda s: moran_construct(s, 1.2, 0.05, 10 ** 30, stages=1)],
+        ids=["greedy", "greedy_cap", "coding", "moran_stages", "moran_n"])
+    def test_refused_before_any_work(self, s1, call):
+        with pytest.raises(SizeCapError):
+            call(s1)
